@@ -2,10 +2,14 @@
 //! primitives every contract call ultimately pays for.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use swap_crypto::sha256::sha256;
-use swap_crypto::{lamport, sha256_pair, MssKeypair, Secret, SigChain};
+use swap_crypto::sha256::{hardware_accelerated, sha256};
+use swap_crypto::{lamport, sha256_pair, HmacEngine, MssKeypair, Secret, SigChain};
 
 fn bench_sha256(c: &mut Criterion) {
+    println!(
+        "sha256 compression path: {}",
+        if hardware_accelerated() { "x86-64 SHA-NI" } else { "portable" }
+    );
     let mut group = c.benchmark_group("sha256");
     for size in [64usize, 1024, 16 * 1024] {
         let data = vec![0xABu8; size];
@@ -28,6 +32,20 @@ fn bench_sha256(c: &mut Criterion) {
             buf[..32].copy_from_slice(std::hint::black_box(&left).as_bytes());
             buf[32..].copy_from_slice(std::hint::black_box(&right).as_bytes());
             sha256(&buf)
+        })
+    });
+    group.finish();
+}
+
+fn bench_hmac(c: &mut Criterion) {
+    // The Lamport secret derivation: 512 of these per one-time leaf.
+    let mut group = c.benchmark_group("hmac");
+    let engine = HmacEngine::new(&[7u8; 32]);
+    let mut index = 0u64;
+    group.bench_function("derive", |b| {
+        b.iter(|| {
+            index = index.wrapping_add(1);
+            engine.derive(std::hint::black_box("lamport/v0"), index)
         })
     });
     group.finish();
@@ -153,6 +171,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_sha256, bench_lamport, bench_mss, bench_sigchain
+    targets = bench_sha256, bench_hmac, bench_lamport, bench_mss, bench_sigchain
 }
 criterion_main!(benches);

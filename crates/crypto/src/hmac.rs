@@ -1,11 +1,21 @@
 //! HMAC-SHA256 (RFC 2104), used for deterministic key derivation in the
 //! Lamport/Merkle signature machinery and for seeding per-party randomness.
 
-use crate::sha256::{Digest32, Sha256};
+use crate::sha256::{compress_block, state_to_digest, Digest32, Sha256};
 
 const BLOCK: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
+
+/// The longest label [`HmacEngine::derive`] handles in one inner block:
+/// `label || be64(index)` plus the `0x80` byte and the 8-byte length must
+/// fit 64 bytes, so `label` can take 64 − 8 − 1 − 8 = 47.
+const DERIVE_LABEL_MAX: usize = BLOCK - 8 - 1 - 8;
+
+/// SHA-256's trailing length field for a `bytes`-long message.
+fn bit_len(bytes: usize) -> [u8; 8] {
+    (bytes as u64 * 8).to_be_bytes()
+}
 
 /// Computes `HMAC-SHA256(key, message)`.
 ///
@@ -33,7 +43,8 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest32 {
 /// captures both midstates once at construction and each subsequent MAC
 /// costs only the message-side compressions: two total for the
 /// `label || be64(index)` derivations, down from four, with no per-call
-/// allocation.
+/// allocation. [`HmacEngine::derive`] goes one step further and builds
+/// both of those blocks by hand.
 #[derive(Debug, Clone)]
 pub struct HmacEngine {
     inner: [u32; 8],
@@ -71,16 +82,42 @@ impl HmacEngine {
         for p in parts {
             inner.update(p);
         }
-        let inner_digest = inner.finalize();
-        let mut outer = Sha256::from_midstate(self.outer, BLOCK as u64);
-        outer.update(inner_digest.as_bytes());
-        outer.finalize()
+        self.outer_hash(&inner.finalize())
     }
 
     /// The labeled, indexed subkey `HMAC(key, label || be64(index))` —
     /// [`derive_key`] without re-absorbing the key pads.
+    ///
+    /// For labels of up to 47 bytes (every label in the workspace) the
+    /// inner message and its padding fit one block, so this builds that
+    /// block and the outer one directly: two compressions, no streaming
+    /// hasher. Longer labels take [`HmacEngine::mac_parts`].
     pub fn derive(&self, label: &str, index: u64) -> Digest32 {
-        self.mac_parts(&[label.as_bytes(), &index.to_be_bytes()])
+        let label = label.as_bytes();
+        if label.len() > DERIVE_LABEL_MAX {
+            return self.mac_parts(&[label, &index.to_be_bytes()]);
+        }
+        let len = label.len() + 8;
+        let mut block = [0u8; BLOCK];
+        block[..label.len()].copy_from_slice(label);
+        block[label.len()..len].copy_from_slice(&index.to_be_bytes());
+        block[len] = 0x80;
+        block[56..].copy_from_slice(&bit_len(BLOCK + len));
+        let mut inner = self.inner;
+        compress_block(&mut inner, &block);
+        self.outer_hash(&state_to_digest(&inner))
+    }
+
+    /// The outer hash `H(key ⊕ opad || inner)`: one compression of the
+    /// 32-byte inner digest, padded, from the outer midstate.
+    fn outer_hash(&self, inner: &Digest32) -> Digest32 {
+        let mut block = [0u8; BLOCK];
+        block[..32].copy_from_slice(inner.as_bytes());
+        block[32] = 0x80;
+        block[56..].copy_from_slice(&bit_len(BLOCK + 32));
+        let mut outer = self.outer;
+        compress_block(&mut outer, &block);
+        state_to_digest(&outer)
     }
 }
 
@@ -95,47 +132,80 @@ pub fn derive_key(key: &[u8], label: &str, index: u64) -> Digest32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::{sha256_with, Compress, PATHS};
+
+    /// Textbook RFC 2104 HMAC (short keys) over an explicit compression
+    /// function — no midstates, no hand-built blocks.
+    fn hmac_with(compress: Compress, key: &[u8], message: &[u8]) -> Digest32 {
+        assert!(key.len() <= BLOCK);
+        let pad = |byte: u8| -> Vec<u8> {
+            (0..BLOCK).map(|i| key.get(i).copied().unwrap_or(0) ^ byte).collect()
+        };
+        let inner = sha256_with(compress, &[pad(IPAD), message.to_vec()].concat());
+        sha256_with(compress, &[pad(OPAD), inner.as_bytes().to_vec()].concat())
+    }
+
+    /// Checks an RFC 4231 case on the engine and on both compression paths.
+    fn check_rfc4231(key: &[u8], message: &[u8], expected: &str) {
+        assert_eq!(hmac_sha256(key, message).to_hex(), expected, "engine");
+        for (path, compress) in PATHS {
+            assert_eq!(hmac_with(compress, key, message).to_hex(), expected, "{path}");
+        }
+    }
 
     // RFC 4231 test vectors.
     #[test]
     fn rfc4231_case_1() {
-        let key = [0x0bu8; 20];
-        let mac = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            mac.to_hex(),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+        check_rfc4231(
+            &[0x0bu8; 20],
+            b"Hi There",
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
         );
     }
 
     #[test]
     fn rfc4231_case_2() {
-        let mac = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            mac.to_hex(),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        check_rfc4231(
+            b"Jefe",
+            b"what do ya want for nothing?",
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
         );
     }
 
     #[test]
     fn rfc4231_case_3() {
-        let key = [0xaau8; 20];
-        let msg = [0xddu8; 50];
-        let mac = hmac_sha256(&key, &msg);
-        assert_eq!(
-            mac.to_hex(),
-            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
+        check_rfc4231(
+            &[0xaau8; 20],
+            &[0xddu8; 50],
+            "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
         );
     }
 
     #[test]
     fn rfc4231_case_4() {
         let key: Vec<u8> = (1..=25).collect();
-        let msg = [0xcdu8; 50];
-        let mac = hmac_sha256(&key, &msg);
-        assert_eq!(
-            mac.to_hex(),
-            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        check_rfc4231(
+            &key,
+            &[0xcdu8; 50],
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
         );
+    }
+
+    #[test]
+    fn fixed_shape_derive_matches_mac_parts() {
+        let engine = HmacEngine::new(b"master seed");
+        // 47 fills the single inner block exactly; 48 takes the fallback.
+        for label_len in [0usize, 10, DERIVE_LABEL_MAX, DERIVE_LABEL_MAX + 1, 100] {
+            let label = "l".repeat(label_len);
+            for index in [0u64, 1, 255, u64::MAX] {
+                assert_eq!(
+                    engine.derive(&label, index),
+                    engine.mac_parts(&[label.as_bytes(), &index.to_be_bytes()]),
+                    "label length {label_len}, index {index}"
+                );
+            }
+        }
+        assert_eq!(DERIVE_LABEL_MAX, 47);
     }
 
     #[test]

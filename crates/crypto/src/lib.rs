@@ -12,7 +12,7 @@
 //! the sanctioned dependency list):
 //!
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256, tested against the NIST example
-//!   vectors,
+//!   vectors, on the x86-64 SHA extensions when the CPU has them,
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), used for deterministic key
 //!   derivation,
 //! * [`secret`] — [`Secret`]s and [`Hashlock`]s,
@@ -32,8 +32,11 @@
 //! assert!(!h.matches(&Secret::from_bytes([8u8; 32])));
 //! ```
 
-#![forbid(unsafe_code)]
+// The one exception is the SHA-NI compression body in `sha256`, which
+// opts in locally; every `unsafe` block there carries a `// SAFETY:` note.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod hmac;
 pub mod lamport;

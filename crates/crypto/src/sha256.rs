@@ -2,11 +2,19 @@
 //!
 //! The sanctioned dependency list has no hashing crate, and the whole swap
 //! protocol rests on hashlocks, so the primitive lives here with the NIST
-//! example vectors as tests. The compression function is unrolled with
-//! rotating register roles, and the two fixed input shapes that dominate
-//! MSS key generation get dedicated single- and double-compression entry
-//! points ([`sha256_32`], [`sha256_pair`]) that skip buffering and — for
-//! the pair case — reuse a compile-time-expanded padding-block schedule.
+//! example vectors as tests. Every hash in the workspace funnels into one
+//! compression function with two bodies, picked once at run time:
+//!
+//! * on x86-64 CPUs with the SHA extensions (SHA-NI), a hardware body
+//!   built from `core::arch` intrinsics (the `shani` submodule — the only
+//!   `unsafe` in the crate);
+//! * everywhere else, the portable rounds: unrolled with rotating register
+//!   roles. They are also the test oracle the hardware body is pinned to.
+//!
+//! [`hardware_accelerated`] reports which one this process uses. The two
+//! fixed input shapes that dominate MSS key generation get dedicated
+//! single- and double-compression entry points ([`sha256_32`],
+//! [`sha256_pair`]) that skip buffering.
 
 use std::fmt;
 
@@ -41,21 +49,34 @@ impl Digest32 {
 
     /// Lowercase hex rendering.
     pub fn to_hex(&self) -> String {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
         for b in self.0 {
-            s.push_str(&format!("{b:02x}"));
+            s.push(DIGITS[usize::from(b >> 4)] as char);
+            s.push(DIGITS[usize::from(b & 0x0f)] as char);
         }
         s
     }
 
-    /// Parses a 64-character lowercase/uppercase hex string.
+    /// Parses a 64-character lowercase/uppercase hex string. Anything
+    /// else — wrong length, a non-hex digit, a sign, a multi-byte
+    /// character — is `None`.
     pub fn from_hex(hex: &str) -> Option<Digest32> {
+        fn nibble(c: u8) -> Option<u8> {
+            match c {
+                b'0'..=b'9' => Some(c - b'0'),
+                b'a'..=b'f' => Some(c - b'a' + 10),
+                b'A'..=b'F' => Some(c - b'A' + 10),
+                _ => None,
+            }
+        }
+        let hex = hex.as_bytes();
         if hex.len() != 64 {
             return None;
         }
         let mut out = [0u8; 32];
-        for i in 0..32 {
-            out[i] = u8::from_str_radix(&hex[2 * i..2 * i + 2], 16).ok()?;
+        for (o, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+            *o = nibble(pair[0])? << 4 | nibble(pair[1])?;
         }
         Some(Digest32(out))
     }
@@ -136,9 +157,17 @@ const fn expand_schedule(mut w: [u32; 64]) -> [u32; 64] {
     w
 }
 
-/// The fully expanded schedule of the padding block every exactly-64-byte
-/// message ends with (`0x80`, zeros, bit length 512) — [`sha256_pair`]
-/// skips the expansion entirely for its second compression.
+/// The padding block every exactly-64-byte message ends with (`0x80`,
+/// zeros, bit length 512): the second compression of [`sha256_pair`].
+const PAD64_BLOCK: [u8; 64] = {
+    let mut b = [0u8; 64];
+    b[0] = 0x80;
+    b[62] = 0x02;
+    b
+};
+
+/// [`PAD64_BLOCK`]'s fully expanded schedule, so the portable path skips
+/// the expansion entirely for [`sha256_pair`]'s second compression.
 const PAD64_SCHEDULE: [u32; 64] = expand_schedule({
     let mut w = [0u32; 64];
     w[0] = 0x8000_0000;
@@ -172,8 +201,45 @@ fn compress_words(state: &mut [u32; 8], w: &[u32; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// Expands `block`'s message schedule and runs the 64 rounds.
+#[cfg(target_arch = "x86_64")]
+mod shani;
+
+/// Whether this process compresses on the SHA-NI hardware path. Decided
+/// by the CPU alone (no configuration picks it); digests are identical
+/// either way.
+#[inline]
+pub fn hardware_accelerated() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        shani::detected()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Compresses one 64-byte block into `state` on the fastest path this CPU
+/// has.
+#[inline]
 pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::detected() {
+        // SAFETY: `detected()` just confirmed the CPU has every feature
+        // `shani::compress_block` is compiled for.
+        #[allow(unsafe_code)]
+        unsafe {
+            shani::compress_block(state, block)
+        };
+        return;
+    }
+    compress_block_portable(state, block);
+}
+
+/// The portable compression function: expands `block`'s message schedule
+/// and runs the 64 rounds. The fallback off SHA-NI, and the oracle the
+/// hardware path is tested against.
+pub(crate) fn compress_block_portable(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     let mut i = 0;
     while i < 16 {
@@ -190,7 +256,7 @@ pub(crate) fn compress_block(state: &mut [u32; 8], block: &[u8; 64]) {
 }
 
 #[inline]
-fn state_to_digest(state: &[u32; 8]) -> Digest32 {
+pub(crate) fn state_to_digest(state: &[u32; 8]) -> Digest32 {
     let mut out = [0u8; 32];
     for (i, word) in state.iter().enumerate() {
         out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -199,17 +265,20 @@ fn state_to_digest(state: &[u32; 8]) -> Digest32 {
 }
 
 /// `SHA-256(left || right)` for two 32-byte digests in exactly two
-/// compressions: one over the data block, one over the compile-time
-/// `PAD64_SCHEDULE` padding block. This is the shape of the Lamport
-/// public-key fold and of binary-tree node combination, the two inner
-/// loops of MSS key generation.
+/// compressions: one over the data block, one over the constant padding
+/// block (whose schedule the portable path has precomputed). This is the
+/// shape of binary-tree node combination in MSS key generation.
 pub fn sha256_pair(left: &Digest32, right: &Digest32) -> Digest32 {
     let mut state = H0;
     let mut block = [0u8; 64];
     block[..32].copy_from_slice(left.as_bytes());
     block[32..].copy_from_slice(right.as_bytes());
     compress_block(&mut state, &block);
-    compress_words(&mut state, &PAD64_SCHEDULE);
+    if hardware_accelerated() {
+        compress_block(&mut state, &PAD64_BLOCK);
+    } else {
+        compress_words(&mut state, &PAD64_SCHEDULE);
+    }
     state_to_digest(&state)
 }
 
@@ -339,15 +408,48 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest32 {
 /// Domain-separated hash: `SHA-256(tag_len || tag || data)`. Tags keep the
 /// workspace's many hash uses (hashlocks, tree nodes, signatures, addresses)
 /// from colliding with each other.
+///
+/// # Panics
+///
+/// If `tag` is 256 bytes or longer: its length would not fit the one-byte
+/// prefix, and two tags sharing a prefix would lose domain separation.
 pub fn tagged_hash(tag: &str, data: &[u8]) -> Digest32 {
     let tag_bytes = tag.as_bytes();
-    let len = [tag_bytes.len() as u8];
+    let len = [u8::try_from(tag_bytes.len()).expect("tagged_hash tag must be under 256 bytes")];
     sha256_concat(&[&len, tag_bytes, data])
+}
+
+/// A compression function: the dispatched [`compress_block`] or
+/// [`compress_block_portable`].
+#[cfg(test)]
+pub(crate) type Compress = fn(&mut [u32; 8], &[u8; 64]);
+
+/// Both compression paths, for tests that pin them to the same vectors.
+#[cfg(test)]
+pub(crate) const PATHS: [(&str, Compress); 2] =
+    [("dispatched", compress_block), ("portable", compress_block_portable)];
+
+/// One-shot SHA-256 over an explicit compression function, with its own
+/// textbook padding — the oracle the streaming hasher is checked against.
+#[cfg(test)]
+pub(crate) fn sha256_with(compress: Compress, data: &[u8]) -> Digest32 {
+    let mut msg = data.to_vec();
+    msg.push(0x80);
+    while msg.len() % 64 != 56 {
+        msg.push(0);
+    }
+    msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    for block in msg.chunks_exact(64) {
+        compress(&mut state, block.try_into().expect("64-byte chunk"));
+    }
+    state_to_digest(&state)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // NIST FIPS 180-4 example vectors plus RFC test strings.
     const VECTORS: &[(&[u8], &str)] = &[
@@ -365,10 +467,15 @@ mod tests {
          "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592"),
     ];
 
+    const MILLION_A: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+
     #[test]
     fn nist_vectors() {
         for (input, expected) in VECTORS {
             assert_eq!(sha256(input).to_hex(), *expected, "input {input:?}");
+            for (path, compress) in PATHS {
+                assert_eq!(sha256_with(compress, input).to_hex(), *expected, "{path}: {input:?}");
+            }
         }
     }
 
@@ -380,10 +487,45 @@ mod tests {
         for _ in 0..1000 {
             h.update(&chunk);
         }
+        assert_eq!(h.finalize().to_hex(), MILLION_A);
+        let msg = vec![b'a'; 1_000_000];
+        for (path, compress) in PATHS {
+            assert_eq!(sha256_with(compress, &msg).to_hex(), MILLION_A, "{path}");
+        }
+    }
+
+    proptest! {
+        /// The dispatched compression (SHA-NI where the CPU has it) agrees
+        /// with the portable rounds on arbitrary states and blocks.
+        #[test]
+        fn hardware_matches_portable(state in any::<[u32; 8]>(), block in any::<[u8; 64]>()) {
+            let (mut hw, mut portable) = (state, state);
+            compress_block(&mut hw, &block);
+            compress_block_portable(&mut portable, &block);
+            prop_assert_eq!(hw, portable);
+        }
+    }
+
+    #[test]
+    fn dispatch_follows_cpu_features() {
+        #[cfg(target_arch = "x86_64")]
         assert_eq!(
-            h.finalize().to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+            hardware_accelerated(),
+            is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1")
         );
+        #[cfg(not(target_arch = "x86_64"))]
+        assert!(!hardware_accelerated());
+    }
+
+    #[test]
+    fn pad64_schedule_is_the_pad64_block() {
+        let mut from_block = H0;
+        let mut from_schedule = H0;
+        compress_block_portable(&mut from_block, &PAD64_BLOCK);
+        compress_words(&mut from_schedule, &PAD64_SCHEDULE);
+        assert_eq!(from_block, from_schedule);
     }
 
     #[test]
@@ -428,11 +570,38 @@ mod tests {
     }
 
     #[test]
+    fn tagged_hash_accepts_the_longest_prefixable_tag() {
+        let tag = "t".repeat(255);
+        let mut msg = vec![255u8];
+        msg.extend_from_slice(tag.as_bytes());
+        msg.extend_from_slice(b"data");
+        assert_eq!(tagged_hash(&tag, b"data"), sha256(&msg));
+    }
+
+    #[test]
+    #[should_panic(expected = "tagged_hash tag must be under 256 bytes")]
+    fn tagged_hash_rejects_tags_whose_length_would_wrap() {
+        // A 256-byte tag's length prefix would wrap to 0.
+        tagged_hash(&"t".repeat(256), b"data");
+    }
+
+    #[test]
     fn hex_roundtrip() {
         let d = sha256(b"roundtrip");
         assert_eq!(Digest32::from_hex(&d.to_hex()), Some(d));
+        assert_eq!(Digest32::from_hex(&d.to_hex().to_uppercase()), Some(d));
         assert_eq!(Digest32::from_hex("xy"), None);
         assert_eq!(Digest32::from_hex(&"g".repeat(64)), None);
+        // A sign is not a hex digit.
+        assert_eq!(Digest32::from_hex(&format!("+f{}", "0".repeat(62))), None);
+    }
+
+    #[test]
+    fn from_hex_rejects_non_ascii_without_panicking() {
+        // 64 bytes, but 'é' straddles the first byte pair.
+        let hex = format!("0é{}", "0".repeat(61));
+        assert_eq!(hex.len(), 64);
+        assert_eq!(Digest32::from_hex(&hex), None);
     }
 
     #[test]
