@@ -5,16 +5,19 @@
 //! records carry raw `[u8; 32]`s, `u64`s, and `String`s so the codec stays
 //! auditable and the crate dependency-free. Every snapshot/WAL field is
 //! mirrored here, one function per direction, so a change on either side
-//! fails to compile instead of silently truncating state. The exchange's
-//! journaling and recovery logic lives in [`crate::exchange`]; this module
-//! is pure data plumbing.
+//! fails to compile instead of silently truncating state. Snapshots go
+//! out through borrowed walks ([`encode_report`], [`encode_book_view`]),
+//! written straight into the frame buffer with no owned copy of the
+//! book, and come back as owned records that recovery consumes
+//! ([`book_from_record`]). The exchange's journaling and recovery logic
+//! lives in [`crate::exchange`]; this module is pure data plumbing.
 
 use swap_chain::StorageReport;
 use swap_crypto::{sha256, Digest32, Hashlock, MssPublicKey};
-use swap_market::{AssetKind, BookSnapshot, Offer, OfferId, OfferStatus, SwapId};
+use swap_market::{AssetKind, BookSnapshot, BookView, Offer, OfferId, OfferStatus, SwapId};
 use swap_store::{
-    BookEntryRecord, BookRecord, FailTag, MetricsRecord, OfferStatusRecord, ReportRecord, StageTag,
-    StageTicksRecord, StorageRecord, SwapLineRecord,
+    encode_book, BookEntryRef, BookRecord, Encoder, FailTag, MetricsRecord, OfferStatusRecord,
+    ReportRecord, StageTag, StageTicksRecord, StorageRecord, SwapLineRecord,
 };
 
 use crate::exchange::{
@@ -130,8 +133,9 @@ fn storage_from_record(s: &StorageRecord) -> StorageReport {
     }
 }
 
-/// [`ExchangeReport`] → snapshot record, field by field.
-pub(crate) fn report_record(r: &ExchangeReport) -> ReportRecord {
+/// [`ExchangeReport`]'s counters → snapshot record, field by field, with
+/// no swap lines: [`encode_report`] streams those.
+fn report_counters(r: &ExchangeReport) -> ReportRecord {
     ReportRecord {
         epochs: r.epochs,
         offers_submitted: r.offers_submitted,
@@ -156,26 +160,32 @@ pub(crate) fn report_record(r: &ExchangeReport) -> ReportRecord {
         tx_executed: r.tx_executed,
         tx_rolled_back: r.tx_rolled_back,
         storage: storage_record(&r.storage),
-        swaps: r
-            .swaps
-            .iter()
-            .map(|s| SwapLineRecord {
-                swap: s.swap.raw(),
-                epoch: s.epoch,
-                parties: s.parties as u64,
-                leaders: s.leaders as u64,
-                protocol: protocol_tag(s.protocol),
-                settled: s.settled,
-                all_deal: s.all_deal,
-                rounds: s.rounds,
-                metrics: metrics_record(&s.metrics),
-            })
-            .collect(),
+        swaps: Vec::new(),
     }
 }
 
+fn swap_line_record(s: &SwapSummary) -> SwapLineRecord {
+    SwapLineRecord {
+        swap: s.swap.raw(),
+        epoch: s.epoch,
+        parties: s.parties as u64,
+        leaders: s.leaders as u64,
+        protocol: protocol_tag(s.protocol),
+        settled: s.settled,
+        all_deal: s.all_deal,
+        rounds: s.rounds,
+        metrics: metrics_record(&s.metrics),
+    }
+}
+
+/// Writes the snapshot's report section from the live report, streaming
+/// its swap lines.
+pub(crate) fn encode_report(e: &mut Encoder, r: &ExchangeReport) {
+    report_counters(r).encode_with_lines(e, r.swaps.iter().map(swap_line_record));
+}
+
 /// Snapshot record → [`ExchangeReport`], the inverse of
-/// [`report_record`]; recovery restores the report verbatim so the
+/// [`encode_report`]; recovery restores the report verbatim so the
 /// byte-identical-report invariant holds across a crash.
 pub(crate) fn report_from_record(r: &ReportRecord) -> ExchangeReport {
     ExchangeReport {
@@ -244,62 +254,60 @@ fn status_from_record(status: OfferStatusRecord) -> OfferStatus {
     }
 }
 
-/// [`BookSnapshot`] → snapshot record. Offers persist as `(root, height,
+/// One offer as a borrowed book entry. Offers persist as `(root, height,
 /// hashlock, kinds)`: the public key's Merkle root is its identity, and
 /// the signing leaves live in the identity records, not the book.
-pub(crate) fn book_record(book: &BookSnapshot) -> BookRecord {
-    BookRecord {
-        first_id: book.first_id,
-        epoch: book.epoch,
-        next_swap: book.next_swap,
-        entries: book
-            .entries
-            .iter()
-            .map(|(offer, status)| BookEntryRecord {
-                root: *offer.key.root().as_bytes(),
-                key_height: offer.key.height() as u8,
-                hashlock: *offer.hashlock.digest().as_bytes(),
-                gives: offer.gives.0.clone(),
-                wants: offer.wants.0.clone(),
-                status: status_record(*status),
-            })
-            .collect(),
-        deferred: book.deferred.iter().map(|id| id.raw()).collect(),
-        in_flight: book
-            .in_flight
-            .iter()
-            .map(|(swap, offers)| (swap.raw(), offers.iter().map(|o| o.raw()).collect()))
-            .collect(),
+fn entry_ref(offer: &Offer, status: OfferStatus) -> BookEntryRef<'_> {
+    BookEntryRef {
+        root: offer.key.root().as_bytes(),
+        key_height: offer.key.height() as u8,
+        hashlock: offer.hashlock.digest().as_bytes(),
+        gives: &offer.gives.0,
+        wants: &offer.wants.0,
+        status: status_record(status),
     }
 }
 
-/// Snapshot record → [`BookSnapshot`], the inverse of [`book_record`].
-pub(crate) fn book_from_record(book: &BookRecord) -> BookSnapshot {
+/// Writes the snapshot's book section straight from the live clearing
+/// service: no offer or asset-kind string is copied.
+pub(crate) fn encode_book_view(e: &mut Encoder, book: BookView<'_>) {
+    encode_book(
+        e,
+        [book.first_id(), book.epoch(), book.next_swap()],
+        book.entries().map(|(offer, status)| entry_ref(offer, status)),
+        book.deferred().map(OfferId::raw),
+        book.in_flight().map(|(swap, offers)| (swap.raw(), offers.iter().map(|o| o.raw()))),
+    );
+}
+
+/// Snapshot record → [`BookSnapshot`], consuming the record so the
+/// asset-kind strings move instead of being copied.
+pub(crate) fn book_from_record(book: BookRecord) -> BookSnapshot {
     BookSnapshot {
         first_id: book.first_id,
         epoch: book.epoch,
         next_swap: book.next_swap,
         entries: book
             .entries
-            .iter()
+            .into_iter()
             .map(|e| {
                 (
                     Offer {
                         key: MssPublicKey::from_root(Digest32(e.root), u32::from(e.key_height)),
                         hashlock: Hashlock::from_digest(Digest32(e.hashlock)),
-                        gives: AssetKind::new(e.gives.clone()),
-                        wants: AssetKind::new(e.wants.clone()),
+                        gives: AssetKind(e.gives),
+                        wants: AssetKind(e.wants),
                     },
                     status_from_record(e.status),
                 )
             })
             .collect(),
-        deferred: book.deferred.iter().map(|&id| OfferId::from_raw(id)).collect(),
+        deferred: book.deferred.into_iter().map(OfferId::from_raw).collect(),
         in_flight: book
             .in_flight
-            .iter()
+            .into_iter()
             .map(|(swap, offers)| {
-                (SwapId::from_raw(*swap), offers.iter().map(|&o| OfferId::from_raw(o)).collect())
+                (SwapId::from_raw(swap), offers.into_iter().map(OfferId::from_raw).collect())
             })
             .collect(),
     }

@@ -114,12 +114,12 @@ use swap_market::{
 };
 use swap_sim::{Delta, SimDuration, SimRng, SimTime};
 use swap_store::{
-    load_latest_snapshot, read_wal, write_snapshot, ExchangeSnapshot, IdentityRecord,
-    MaterialRecord, SeedRecord, Wal, WalRecord, WAL_FILE,
+    encode_identity, load_latest_snapshot, read_wal, ExchangeSnapshot, MaterialRecord, SeedRecord,
+    SnapshotFrame, SnapshotHead, Wal, WalRecord, WAL_FILE,
 };
 
 use crate::durability::{
-    book_from_record, book_record, config_digest, fail_tag, report_from_record, report_record,
+    book_from_record, config_digest, encode_book_view, encode_report, fail_tag, report_from_record,
     stage_tag,
 };
 use crate::identity::IdentityStore;
@@ -2030,63 +2030,65 @@ impl Exchange {
     ///
     /// [`maybe_snapshot`]: Exchange::step
     pub fn snapshot_now(&mut self) -> io::Result<()> {
-        let Some((last_seq, dir)) = self.journal.as_ref().and_then(|j| match &j.sink {
-            JournalSink::Wal(wal) if wal.next_seq() > 0 => {
-                Some((wal.next_seq() - 1, j.dir.clone()))
-            }
-            _ => None,
-        }) else {
-            return Ok(());
-        };
-        assert!(self.in_flight.is_empty(), "snapshots are only taken at pipeline-empty points");
-        let snap = self.build_snapshot(last_seq);
-        write_snapshot(&dir, &snap)?;
-        let journal = self.journal.as_mut().expect("checked above");
+        let Some(frame) = self.encode_snapshot()? else { return Ok(()) };
+        let journal = self.journal.as_mut().expect("encode_snapshot checked the journal");
+        frame.write(&journal.dir)?;
         journal.settled_since_snapshot = 0;
-        let JournalSink::Wal(wal) = &mut journal.sink else { unreachable!("checked above") };
+        let JournalSink::Wal(wal) = &mut journal.sink else {
+            unreachable!("encode_snapshot checked the sink")
+        };
         // A crash between the snapshot rename and this truncation is
         // benign: recovery skips WAL records at or before the snapshot's
         // sequence number.
         wal.reset()
     }
 
-    /// Serializes the pipeline-empty state (see [`ExchangeSnapshot`]).
-    fn build_snapshot(&self, last_seq: u64) -> ExchangeSnapshot {
-        ExchangeSnapshot {
+    /// Encodes the snapshot [`snapshot_now`](Self::snapshot_now) would
+    /// write, without touching the disk: one pass over the live state,
+    /// straight into the frame buffer. `None` where `snapshot_now` is a
+    /// no-op.
+    ///
+    /// # Errors
+    ///
+    /// A state too large for one frame (4 GiB or more).
+    ///
+    /// # Panics
+    ///
+    /// If epochs are in flight (see [`snapshot_now`](Self::snapshot_now)).
+    pub fn encode_snapshot(&self) -> io::Result<Option<SnapshotFrame>> {
+        let last_seq = match self.journal.as_ref().map(|j| &j.sink) {
+            Some(JournalSink::Wal(wal)) if wal.next_seq() > 0 => wal.next_seq() - 1,
+            _ => return Ok(None),
+        };
+        assert!(self.in_flight.is_empty(), "snapshots are only taken at pipeline-empty points");
+        let head = SnapshotHead {
             last_seq,
             config_digest: config_digest(&self.config),
             now: self.now.ticks(),
-            vacated: [
-                self.vacated[0].ticks(),
-                self.vacated[1].ticks(),
-                self.vacated[2].ticks(),
-                self.vacated[3].ticks(),
-            ],
-            dirty_since: self.dirty_since.map(|t| t.ticks()),
+            vacated: self.vacated.map(SimTime::ticks),
+            dirty_since: self.dirty_since.map(SimTime::ticks),
             mint_ticket: self.mint_ticket,
             leaves_leased: self.identities.leaves_leased(),
-            report: report_record(&self.report),
-            book: book_record(&self.service.snapshot()),
-            material: self
-                .material
-                .iter()
-                .map(|(id, (address, secret))| MaterialRecord {
+        };
+        SnapshotFrame::encode(last_seq, |e| {
+            // Section order is that of `ExchangeSnapshot::encode`.
+            head.encode(e);
+            encode_report(e, &self.report);
+            encode_book_view(e, self.service.book_view());
+            e.put_seq(self.material.iter(), |e, (id, (address, secret))| {
+                MaterialRecord {
                     offer: id.raw(),
                     address: *address.digest().as_bytes(),
                     secret: *secret.reveal(),
-                })
-                .collect(),
-            identities: self
-                .identities
-                .iter()
-                .map(|(_, kp)| IdentityRecord {
-                    seed: *kp.seed(),
-                    height: kp.height() as u8,
-                    next_leaf: kp.next_leaf(),
-                    leaves: kp.leaf_digests().iter().map(|d| *d.as_bytes()).collect(),
-                })
-                .collect(),
-        }
+                }
+                .encode(e);
+            });
+            e.put_seq(self.identities.iter(), |e, (_, kp)| {
+                let leaves = kp.leaves().iter().map(Digest32::as_bytes);
+                encode_identity(e, kp.seed(), kp.height() as u8, kp.next_leaf(), leaves);
+            });
+        })
+        .map(Some)
     }
 
     // ─── Recovery ────────────────────────────────────────────────────────
@@ -2123,7 +2125,7 @@ impl Exchange {
             }
         }
         let snapshot_seq = snapshot.as_ref().map(|s| s.last_seq);
-        let mut exchange = match &snapshot {
+        let mut exchange = match snapshot {
             Some(snap) => Exchange::from_snapshot(config, snap),
             None => Exchange::new(config),
         };
@@ -2260,19 +2262,21 @@ impl Exchange {
         }
     }
 
-    /// Rebuilds the pipeline-empty state a snapshot serialized.
-    fn from_snapshot(config: ExchangeConfig, snap: &ExchangeSnapshot) -> Exchange {
+    /// Rebuilds the pipeline-empty state a snapshot serialized, consuming
+    /// it so the book's strings and the identities' leaves move rather
+    /// than copy.
+    fn from_snapshot(config: ExchangeConfig, snap: ExchangeSnapshot) -> Exchange {
         let service = ClearingService::restore(
-            book_from_record(&snap.book),
+            book_from_record(snap.book),
             config.leader_strategy,
             config.clearing_mode,
         );
         let identities = IdentityStore::restore(
-            snap.identities.iter().map(|id| {
+            snap.identities.into_iter().map(|id| {
                 MssKeypair::from_parts(
                     id.seed,
                     u32::from(id.height),
-                    id.leaves.iter().map(|&l| Digest32(l)).collect(),
+                    id.leaves.into_iter().map(Digest32).collect(),
                     id.next_leaf,
                 )
             }),

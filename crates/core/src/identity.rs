@@ -131,7 +131,7 @@ impl IdentityStore {
     /// The registered identities in address order — the durability store
     /// walks this to persist each master's `(seed, height, leaves,
     /// next_leaf)` state.
-    pub fn iter(&self) -> impl Iterator<Item = (&Address, &MssKeypair)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Address, &MssKeypair)> {
         self.identities.iter()
     }
 

@@ -91,6 +91,11 @@ impl MerkleTree {
         self.levels[0].len()
     }
 
+    /// All leaves, in index order.
+    pub fn leaves(&self) -> &[Digest32] {
+        &self.levels[0]
+    }
+
     /// The leaf hash at `index`, if in range.
     pub fn leaf(&self, index: usize) -> Option<&Digest32> {
         self.levels[0].get(index)

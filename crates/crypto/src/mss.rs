@@ -127,8 +127,8 @@ impl MssKeypair {
     /// [`seed`](Self::seed) and [`next_leaf`](Self::next_leaf) this is the
     /// complete durable state of a master keypair (see
     /// [`from_parts`](Self::from_parts)).
-    pub fn leaf_digests(&self) -> Vec<Digest32> {
-        (0..self.tree.leaf_count()).filter_map(|i| self.tree.leaf(i).copied()).collect()
+    pub fn leaves(&self) -> &[Digest32] {
+        self.tree.leaves()
     }
 
     /// Fast-forwards the leaf cursor to `next_leaf`, for WAL replay of
@@ -450,7 +450,7 @@ mod tests {
         let rebuilt = MssKeypair::from_parts(
             *original.seed(),
             original.height(),
-            original.leaf_digests(),
+            original.leaves().to_vec(),
             original.next_leaf(),
         );
         assert_eq!(rebuilt.public_key(), original.public_key());

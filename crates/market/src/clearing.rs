@@ -394,6 +394,48 @@ pub struct BookSnapshot {
     pub in_flight: Vec<(SwapId, Vec<OfferId>)>,
 }
 
+/// A borrowed walk over a [`ClearingService`]'s durable state — the
+/// fields [`BookSnapshot`] holds, read in place, so a caller can
+/// serialize the book without first copying every offer (see
+/// [`ClearingService::book_view`]).
+#[derive(Debug, Clone, Copy)]
+pub struct BookView<'a> {
+    svc: &'a ClearingService,
+}
+
+impl<'a> BookView<'a> {
+    /// Raw id of the first entry; entry `i` holds offer `first_id + i`.
+    pub fn first_id(&self) -> u64 {
+        self.svc.first_id
+    }
+
+    /// The next epoch number.
+    pub fn epoch(&self) -> u64 {
+        self.svc.epoch
+    }
+
+    /// The next swap id to issue.
+    pub fn next_swap(&self) -> u64 {
+        self.svc.next_swap
+    }
+
+    /// Every submitted offer with its status, in id order.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (&'a Offer, OfferStatus)> + 'a {
+        self.svc.entries.iter().map(|e| (&e.offer, e.status))
+    }
+
+    /// Offers skipped by the most recent committed clearing, ascending.
+    pub fn deferred(&self) -> impl ExactSizeIterator<Item = OfferId> + 'a {
+        self.svc.deferred.iter().copied()
+    }
+
+    /// Matched-but-unresolved swaps and their offers in vertex order,
+    /// ascending by swap id.
+    pub fn in_flight(&self) -> impl ExactSizeIterator<Item = (SwapId, &'a [OfferId])> + 'a {
+        self.svc.in_flight.iter().map(|(&swap, offers)| (swap, offers.as_slice()))
+    }
+}
+
 /// One offer plus its lifecycle state and cached identity.
 #[derive(Debug, Clone)]
 struct OfferEntry {
@@ -1243,15 +1285,23 @@ impl ClearingService {
 
     // ---- durability ----
 
-    /// Captures the service's durable state (see [`BookSnapshot`]).
+    /// Borrows the service's durable state without copying it (see
+    /// [`BookView`]).
+    pub fn book_view(&self) -> BookView<'_> {
+        BookView { svc: self }
+    }
+
+    /// Captures the service's durable state (see [`BookSnapshot`]): an
+    /// owned copy of [`book_view`](Self::book_view).
     pub fn snapshot(&self) -> BookSnapshot {
+        let view = self.book_view();
         BookSnapshot {
-            first_id: self.first_id,
-            epoch: self.epoch,
-            next_swap: self.next_swap,
-            entries: self.entries.iter().map(|e| (e.offer.clone(), e.status)).collect(),
-            deferred: self.deferred.iter().copied().collect(),
-            in_flight: self.in_flight.iter().map(|(&s, o)| (s, o.clone())).collect(),
+            first_id: view.first_id(),
+            epoch: view.epoch(),
+            next_swap: view.next_swap(),
+            entries: view.entries().map(|(offer, status)| (offer.clone(), status)).collect(),
+            deferred: view.deferred().collect(),
+            in_flight: view.in_flight().map(|(swap, offers)| (swap, offers.to_vec())).collect(),
         }
     }
 

@@ -18,9 +18,11 @@
 //!   [`record::WalRecord`] frame, appended through a group-commit buffer
 //!   ([`wal::Wal`]) and read back tolerating a torn final record
 //!   ([`wal::read_wal`]).
-//! * [`snapshot`] — periodic whole-state snapshots
-//!   ([`snapshot::ExchangeSnapshot`]) that truncate the log: written
-//!   temp-then-rename (atomic on POSIX), loaded newest-first.
+//! * [`snapshot`] — periodic whole-state snapshots that truncate the log:
+//!   encoded in one pass from borrowed state into a single frame buffer
+//!   ([`snapshot::SnapshotFrame`]), written temp-then-rename (atomic on
+//!   POSIX) with a directory fsync, and loaded newest-first as an owned
+//!   [`snapshot::ExchangeSnapshot`].
 //!
 //! The store deliberately depends on **nothing**: record and snapshot
 //! types mirror the domain types (offers, identities, reports) as raw
@@ -39,11 +41,24 @@ pub mod wal;
 
 pub use codec::{crc32, DecodeError, Decoder, Encoder};
 pub use record::{
-    decode_frames, encode_frame, FailTag, FrameScan, Framed, SeedRecord, StageTag, WalRecord,
+    decode_frames, encode_frame, frame_len, put_frame, FailTag, FrameScan, Framed, SeedRecord,
+    StageTag, WalRecord,
 };
 pub use snapshot::{
-    load_latest_snapshot, write_snapshot, BookEntryRecord, BookRecord, ExchangeSnapshot,
-    IdentityRecord, MaterialRecord, MetricsRecord, OfferStatusRecord, ReportRecord,
-    StageTicksRecord, StorageRecord, SwapLineRecord,
+    encode_book, encode_identity, load_latest_snapshot, write_snapshot, BookEntryRecord,
+    BookEntryRef, BookRecord, ExchangeSnapshot, IdentityRecord, MaterialRecord, MetricsRecord,
+    OfferStatusRecord, ReportRecord, SnapshotFrame, SnapshotHead, StageTicksRecord, StorageRecord,
+    SwapLineRecord,
 };
 pub use wal::{read_wal, Wal, WAL_FILE};
+
+/// Fsyncs the directory `dir`, making the entries created or renamed in
+/// it durable: without it a crash can lose a file whose *data* was
+/// synced. A no-op where directories cannot be opened as files.
+fn sync_dir(dir: &std::path::Path) -> std::io::Result<()> {
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
+}

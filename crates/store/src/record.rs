@@ -12,11 +12,19 @@
 //! keeps counting across snapshot truncations, which is how recovery
 //! skips WAL frames already covered by the snapshot it loaded.
 //!
+//! [`put_frame`] writes a frame in place: the header, then the payload
+//! straight into the same buffer, then the patched length and the CRC —
+//! no payload copy, which matters for multi-megabyte snapshot frames. The
+//! length field is 32 bits; [`frame_len`] refuses a longer payload rather
+//! than wrap it.
+//!
 //! [`decode_frames`] is the torn-tail-tolerant reader: it stops at the
 //! first frame that is short, has a bad magic/version, or fails its CRC,
 //! and reports how many bytes were valid. A crash can only ever tear the
 //! *final* frame (appends are sequential), so everything before the stop
 //! point is trustworthy.
+
+use std::io;
 
 use crate::codec::{crc32, DecodeError, Decoder, Encoder};
 
@@ -300,6 +308,12 @@ impl WalRecord {
     /// Encodes the payload (frame body, without the header or CRC).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut e = Encoder::new();
+        self.encode(&mut e);
+        e.into_bytes()
+    }
+
+    /// Appends the payload to `e` (see [`WalRecord::encode_payload`]).
+    pub(crate) fn encode(&self, e: &mut Encoder) {
         match self {
             WalRecord::SubmitOffer { seed, height, next_leaf, secret, gives, wants } => {
                 e.put_bytes32(seed);
@@ -312,7 +326,7 @@ impl WalRecord {
             WalRecord::SubmitSeeded { seeds } => {
                 e.put_len(seeds.len());
                 for s in seeds {
-                    s.encode(&mut e);
+                    s.encode(e);
                 }
             }
             WalRecord::Resubmit { address, secret, gives, wants } => {
@@ -335,7 +349,7 @@ impl WalRecord {
                     e.put_u64(*s);
                 }
             }
-            WalRecord::StepFailed { error } => error.encode(&mut e),
+            WalRecord::StepFailed { error } => error.encode(e),
             WalRecord::PlanCommitted { epoch, cycles, offers_examined, offers_matched } => {
                 e.put_u64(*epoch);
                 e.put_u64(*cycles);
@@ -358,7 +372,6 @@ impl WalRecord {
                 e.put_u64(*count);
             }
         }
-        e.into_bytes()
     }
 
     /// Decodes a payload of the given `kind`; inverse of
@@ -429,36 +442,88 @@ impl WalRecord {
     }
 }
 
-/// Encodes one frame of any kind: header, payload, CRC.
-pub fn encode_frame_raw(kind: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::new();
+/// Checked conversion of a payload length to the frame's `u32` length
+/// field.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidInput`] if `len` does not fit in 32 bits. A
+/// wrapped length would write a frame whose CRC fails on read, and
+/// [`decode_frames`] would then drop it — and everything after it — as a
+/// torn tail, silently.
+pub fn frame_len(len: usize) -> io::Result<u32> {
+    u32::try_from(len).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame payload of {len} bytes exceeds the 32-bit length field"),
+        )
+    })
+}
+
+/// Appends one complete frame to `e`: writes the header, lets `payload`
+/// encode the body in place, patches the length, and appends the CRC over
+/// header + payload.
+///
+/// # Errors
+///
+/// See [`frame_len`]; on error `e` is left exactly as it was.
+pub fn put_frame(
+    e: &mut Encoder,
+    kind: u16,
+    seq: u64,
+    payload: impl FnOnce(&mut Encoder),
+) -> io::Result<()> {
+    let start = e.len();
     e.put_u16(MAGIC);
     e.put_u16(VERSION);
     e.put_u16(kind);
     e.put_u16(0); // flags, reserved
     e.put_u64(seq);
-    e.put_u32(payload.len() as u32);
-    e.put_raw(payload);
-    let mut bytes = e.into_bytes();
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+    e.put_u32(0); // length, patched once the payload is written
+    payload(e);
+    let len = match frame_len(e.len() - start - HEADER_LEN) {
+        Ok(len) => len,
+        Err(err) => {
+            e.truncate(start);
+            return Err(err);
+        }
+    };
+    e.patch_u32(start + HEADER_LEN - 4, len);
+    let crc = crc32(&e.as_bytes()[start..]);
+    e.put_u32(crc);
+    Ok(())
+}
+
+/// Encodes one frame of any kind around an already-encoded payload.
+///
+/// # Panics
+///
+/// If the payload is 4 GiB or larger (see [`frame_len`]).
+pub fn encode_frame_raw(kind: u16, seq: u64, payload: &[u8]) -> Vec<u8> {
+    let mut e = Encoder::new();
+    put_frame(&mut e, kind, seq, |e| e.put_raw(payload)).expect("frame payload under 4 GiB");
+    e.into_bytes()
 }
 
 /// Encodes one WAL record as a complete frame.
+///
+/// # Panics
+///
+/// If the record's payload is 4 GiB or larger (see [`frame_len`]);
+/// [`crate::Wal::append_group`] reports that as an error instead.
 pub fn encode_frame(seq: u64, record: &WalRecord) -> Vec<u8> {
     encode_frame_raw(record.kind(), seq, &record.encode_payload())
 }
 
 /// One decoded frame before payload interpretation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RawFrame {
+pub struct RawFrame<'a> {
     /// Record kind from the header.
     pub kind: u16,
     /// Sequence number from the header.
     pub seq: u64,
-    /// Checksummed payload bytes.
-    pub payload: Vec<u8>,
+    /// Checksummed payload bytes, borrowed from the input.
+    pub payload: &'a [u8],
     /// Byte offset one past this frame's CRC (= prefix length that
     /// includes this frame).
     pub end: usize,
@@ -468,7 +533,7 @@ pub struct RawFrame {
 /// cleanly or tears here (short header, short payload, bad magic, bad
 /// CRC); `Err` is reserved for a *future*-versioned frame with a valid
 /// checksum, which must stop recovery loudly rather than silently.
-fn decode_raw_frame(bytes: &[u8], pos: usize) -> Result<Option<RawFrame>, DecodeError> {
+fn decode_raw_frame(bytes: &[u8], pos: usize) -> Result<Option<RawFrame<'_>>, DecodeError> {
     let rest = &bytes[pos..];
     if rest.len() < HEADER_LEN + 4 {
         return Ok(None);
@@ -500,7 +565,7 @@ fn decode_raw_frame(bytes: &[u8], pos: usize) -> Result<Option<RawFrame>, Decode
     Ok(Some(RawFrame {
         kind,
         seq,
-        payload: framed[HEADER_LEN..].to_vec(),
+        payload: &framed[HEADER_LEN..],
         end: pos + HEADER_LEN + len + 4,
     }))
 }
@@ -540,7 +605,7 @@ pub fn decode_frames(bytes: &[u8]) -> Result<FrameScan, DecodeError> {
     let mut frames = Vec::new();
     let mut pos = 0;
     while let Some(raw) = decode_raw_frame(bytes, pos)? {
-        let record = WalRecord::decode_payload(raw.kind, &raw.payload)?;
+        let record = WalRecord::decode_payload(raw.kind, raw.payload)?;
         pos = raw.end;
         frames.push(Framed { seq: raw.seq, record, end: raw.end });
     }
@@ -548,13 +613,14 @@ pub fn decode_frames(bytes: &[u8]) -> Result<FrameScan, DecodeError> {
 }
 
 /// Reads the single snapshot frame (kind [`SNAPSHOT_KIND`]) a snapshot
-/// file holds and returns `(seq, payload)`.
+/// file holds and returns `(seq, payload)`, the payload borrowed from
+/// `bytes`.
 ///
 /// # Errors
 ///
 /// Unlike the WAL, a snapshot file is written temp-then-rename and must
 /// be complete: any tear, checksum failure, or wrong kind is an error.
-pub fn decode_snapshot_frame(bytes: &[u8]) -> Result<(u64, Vec<u8>), DecodeError> {
+pub fn decode_snapshot_frame(bytes: &[u8]) -> Result<(u64, &[u8]), DecodeError> {
     let raw = decode_raw_frame(bytes, 0)?.ok_or(DecodeError::BadChecksum)?;
     if raw.kind != SNAPSHOT_KIND {
         return Err(DecodeError::BadKind(raw.kind));
@@ -717,7 +783,7 @@ mod tests {
     fn snapshot_frame_round_trips_and_rejects_tears() {
         let payload = b"snapshot payload".to_vec();
         let bytes = encode_frame_raw(SNAPSHOT_KIND, 77, &payload);
-        assert_eq!(decode_snapshot_frame(&bytes).unwrap(), (77, payload.clone()));
+        assert_eq!(decode_snapshot_frame(&bytes).unwrap(), (77, &payload[..]));
         // A torn snapshot is an error, never silently accepted.
         assert!(decode_snapshot_frame(&bytes[..bytes.len() - 1]).is_err());
         let mut extra = bytes.clone();
@@ -726,5 +792,32 @@ mod tests {
         // Wrong kind (a WAL record) is rejected too.
         let wal = encode_frame(0, &WalRecord::Cancel { offer: 1 });
         assert!(decode_snapshot_frame(&wal).is_err());
+    }
+
+    #[test]
+    fn frame_len_refuses_to_wrap() {
+        assert_eq!(frame_len(0).unwrap(), 0);
+        assert_eq!(frame_len(u32::MAX as usize).unwrap(), u32::MAX);
+        #[cfg(target_pointer_width = "64")]
+        {
+            let err = frame_len(u32::MAX as usize + 1).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(frame_len(usize::MAX).is_err());
+        }
+    }
+
+    #[test]
+    fn put_frame_matches_encode_frame_and_appends_in_place() {
+        let records = sample_records();
+        let mut e = Encoder::new();
+        e.put_raw(b"prefix");
+        let mut expect = b"prefix".to_vec();
+        for (i, rec) in records.iter().enumerate() {
+            put_frame(&mut e, rec.kind(), i as u64, |e| rec.encode(e)).unwrap();
+            // Framing in place equals framing a pre-encoded payload.
+            expect.extend_from_slice(&encode_frame(i as u64, rec));
+        }
+        assert_eq!(e.as_bytes(), &expect[..]);
+        assert_eq!(decode_frames(&e.as_bytes()[6..]).unwrap().frames.len(), records.len());
     }
 }

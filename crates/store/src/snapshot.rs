@@ -7,9 +7,18 @@
 //! here hold that state as raw bytes/strings/tags; the conversions to and
 //! from domain types live in `swap-core`.
 //!
+//! The payload layout is defined once, by the per-section writers here
+//! ([`SnapshotHead::encode`], [`ReportRecord::encode_with_lines`],
+//! [`encode_book`], [`MaterialRecord::encode`], [`encode_identity`]).
+//! They take borrowed parts and iterators, so the exchange can encode its
+//! *live* state straight into the frame buffer in one pass
+//! ([`SnapshotFrame::encode`]); the owned [`ExchangeSnapshot`] is the
+//! decode type, and its own encoder runs through the same writers.
+//!
 //! On disk a snapshot is a single [`crate::record::SNAPSHOT_KIND`] frame
 //! in a file named `snap-<seq>.snap`, written temp-then-rename so a crash
-//! can never leave a half-written file under the real name. `<seq>` is
+//! can never leave a half-written file under the real name; the directory
+//! is fsynced after the rename so the new name survives a crash too. `<seq>` is
 //! the zero-padded sequence number of the last WAL record the snapshot
 //! covers; [`load_latest_snapshot`] picks the highest. The ledger itself
 //! is *not* serialized — the snapshot keeps the report's storage totals as
@@ -21,7 +30,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{DecodeError, Decoder, Encoder};
-use crate::record::{decode_snapshot_frame, encode_frame_raw, SNAPSHOT_KIND};
+use crate::record::{decode_snapshot_frame, put_frame, SNAPSHOT_KIND};
+use crate::sync_dir;
 
 /// One master identity: enough to rebuild its `MssKeypair` without
 /// re-deriving the Lamport leaves (the expensive part of keygen — the
@@ -38,6 +48,39 @@ pub struct IdentityRecord {
     pub leaves: Vec<[u8; 32]>,
 }
 
+/// Writes one identity record from borrowed parts (the layout of
+/// [`IdentityRecord`]).
+pub fn encode_identity<'a>(
+    e: &mut Encoder,
+    seed: &[u8; 32],
+    height: u8,
+    next_leaf: u64,
+    leaves: impl ExactSizeIterator<Item = &'a [u8; 32]>,
+) {
+    e.put_bytes32(seed);
+    e.put_u8(height);
+    e.put_u64(next_leaf);
+    e.put_seq(leaves, |e, leaf| e.put_bytes32(leaf));
+}
+
+impl IdentityRecord {
+    fn encode(&self, e: &mut Encoder) {
+        encode_identity(e, &self.seed, self.height, self.next_leaf, self.leaves.iter());
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let seed = d.bytes32()?;
+        let height = d.u8()?;
+        let next_leaf = d.u64()?;
+        let n = d.len_prefix()?;
+        let mut leaves = Vec::with_capacity(n);
+        for _ in 0..n {
+            leaves.push(d.bytes32()?);
+        }
+        Ok(Self { seed, height, next_leaf, leaves })
+    }
+}
+
 /// One entry of the exchange's offer-material map: the secret (and its
 /// owner's address) the exchange holds for an offer it has accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +91,19 @@ pub struct MaterialRecord {
     pub address: [u8; 32],
     /// The swap secret backing the offer's hashlock.
     pub secret: [u8; 32],
+}
+
+impl MaterialRecord {
+    /// Writes this record.
+    pub fn encode(&self, e: &mut Encoder) {
+        e.put_u64(self.offer);
+        e.put_bytes32(&self.address);
+        e.put_bytes32(&self.secret);
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Self { offer: d.u64()?, address: d.bytes32()?, secret: d.bytes32()? })
+    }
 }
 
 /// Offer lifecycle status, mirroring `swap_market::OfferStatus`.
@@ -116,14 +172,46 @@ pub struct BookEntryRecord {
     pub status: OfferStatusRecord,
 }
 
-impl BookEntryRecord {
+/// A borrowed [`BookEntryRecord`]: what the writer needs, without owning
+/// the asset-kind strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BookEntryRef<'a> {
+    /// Merkle root of the offering identity's MSS public key.
+    pub root: &'a [u8; 32],
+    /// Tree height of that public key.
+    pub key_height: u8,
+    /// The offer's hashlock digest.
+    pub hashlock: &'a [u8; 32],
+    /// Asset kind given.
+    pub gives: &'a str,
+    /// Asset kind wanted.
+    pub wants: &'a str,
+    /// Lifecycle status.
+    pub status: OfferStatusRecord,
+}
+
+impl BookEntryRef<'_> {
     fn encode(&self, e: &mut Encoder) {
-        e.put_bytes32(&self.root);
+        e.put_bytes32(self.root);
         e.put_u8(self.key_height);
-        e.put_bytes32(&self.hashlock);
-        e.put_str(&self.gives);
-        e.put_str(&self.wants);
+        e.put_bytes32(self.hashlock);
+        e.put_str(self.gives);
+        e.put_str(self.wants);
         self.status.encode(e);
+    }
+}
+
+impl BookEntryRecord {
+    /// Borrows this entry for [`encode_book`].
+    pub fn view(&self) -> BookEntryRef<'_> {
+        BookEntryRef {
+            root: &self.root,
+            key_height: self.key_height,
+            hashlock: &self.hashlock,
+            gives: &self.gives,
+            wants: &self.wants,
+            status: self.status,
+        }
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -156,27 +244,36 @@ pub struct BookRecord {
     pub in_flight: Vec<(u64, Vec<u64>)>,
 }
 
+/// Writes a clearing book (the layout of [`BookRecord`]) from its cursors
+/// and borrowed walks of its entries, deferred offers, and in-flight
+/// swaps (each swap with its member offers).
+pub fn encode_book<'a, Offers: ExactSizeIterator<Item = u64>>(
+    e: &mut Encoder,
+    [first_id, epoch, next_swap]: [u64; 3],
+    entries: impl ExactSizeIterator<Item = BookEntryRef<'a>>,
+    deferred: impl ExactSizeIterator<Item = u64>,
+    in_flight: impl ExactSizeIterator<Item = (u64, Offers)>,
+) {
+    e.put_u64(first_id);
+    e.put_u64(epoch);
+    e.put_u64(next_swap);
+    e.put_seq(entries, |e, entry| entry.encode(e));
+    e.put_seq(deferred, Encoder::put_u64);
+    e.put_seq(in_flight, |e, (swap, offers)| {
+        e.put_u64(swap);
+        e.put_seq(offers, Encoder::put_u64);
+    });
+}
+
 impl BookRecord {
     fn encode(&self, e: &mut Encoder) {
-        e.put_u64(self.first_id);
-        e.put_u64(self.epoch);
-        e.put_u64(self.next_swap);
-        e.put_len(self.entries.len());
-        for entry in &self.entries {
-            entry.encode(e);
-        }
-        e.put_len(self.deferred.len());
-        for id in &self.deferred {
-            e.put_u64(*id);
-        }
-        e.put_len(self.in_flight.len());
-        for (swap, offers) in &self.in_flight {
-            e.put_u64(*swap);
-            e.put_len(offers.len());
-            for o in offers {
-                e.put_u64(*o);
-            }
-        }
+        encode_book(
+            e,
+            [self.first_id, self.epoch, self.next_swap],
+            self.entries.iter().map(BookEntryRecord::view),
+            self.deferred.iter().copied(),
+            self.in_flight.iter().map(|(swap, offers)| (*swap, offers.iter().copied())),
+        );
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -260,7 +357,7 @@ impl MetricsRecord {
 }
 
 /// One executed-swap summary line of the report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapLineRecord {
     /// The swap.
     pub swap: u64,
@@ -404,6 +501,17 @@ pub struct ReportRecord {
 
 impl ReportRecord {
     fn encode(&self, e: &mut Encoder) {
+        self.encode_with_lines(e, self.swaps.iter().copied());
+    }
+
+    /// Writes this report's counters followed by `lines` *in place of*
+    /// `self.swaps`, so a caller can stream the swap lines from live
+    /// state instead of collecting them into the record first.
+    pub fn encode_with_lines(
+        &self,
+        e: &mut Encoder,
+        lines: impl ExactSizeIterator<Item = SwapLineRecord>,
+    ) {
         e.put_u64(self.epochs);
         e.put_u64(self.offers_submitted);
         e.put_u64(self.offers_cancelled);
@@ -425,10 +533,7 @@ impl ReportRecord {
         e.put_u64(self.tx_executed);
         e.put_u64(self.tx_rolled_back);
         self.storage.encode(e);
-        e.put_len(self.swaps.len());
-        for s in &self.swaps {
-            s.encode(e);
-        }
+        e.put_seq(lines, |e, line| line.encode(e));
     }
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -467,6 +572,67 @@ impl ReportRecord {
     }
 }
 
+/// The fixed-size fields that open a snapshot payload (the first seven
+/// fields of [`ExchangeSnapshot`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotHead {
+    /// Sequence number of the last WAL record the snapshot covers.
+    pub last_seq: u64,
+    /// Digest of the semantic exchange configuration.
+    pub config_digest: [u8; 32],
+    /// Simulation clock.
+    pub now: u64,
+    /// Per-stage vacated-at times of the pipeline frontier.
+    pub vacated: [u64; 4],
+    /// Pending-admission marker.
+    pub dirty_since: Option<u64>,
+    /// Next mint ticket.
+    pub mint_ticket: u64,
+    /// Total one-time leaves leased by the identity store.
+    pub leaves_leased: u64,
+}
+
+impl SnapshotHead {
+    /// Writes the head.
+    pub fn encode(&self, e: &mut Encoder) {
+        e.put_u64(self.last_seq);
+        e.put_bytes32(&self.config_digest);
+        e.put_u64(self.now);
+        for v in &self.vacated {
+            e.put_u64(*v);
+        }
+        match self.dirty_since {
+            Some(t) => {
+                e.put_option_tag(true);
+                e.put_u64(t);
+            }
+            None => e.put_option_tag(false),
+        }
+        e.put_u64(self.mint_ticket);
+        e.put_u64(self.leaves_leased);
+    }
+
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let last_seq = d.u64()?;
+        let config_digest = d.bytes32()?;
+        let now = d.u64()?;
+        let mut vacated = [0u64; 4];
+        for v in &mut vacated {
+            *v = d.u64()?;
+        }
+        let dirty_since = if d.option_tag()? { Some(d.u64()?) } else { None };
+        Ok(Self {
+            last_seq,
+            config_digest,
+            now,
+            vacated,
+            dirty_since,
+            mint_ticket: d.u64()?,
+            leaves_leased: d.u64()?,
+        })
+    }
+}
+
 /// The complete durable state of an exchange at a pipeline-empty point.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExchangeSnapshot {
@@ -498,43 +664,33 @@ pub struct ExchangeSnapshot {
 }
 
 impl ExchangeSnapshot {
+    fn head(&self) -> SnapshotHead {
+        SnapshotHead {
+            last_seq: self.last_seq,
+            config_digest: self.config_digest,
+            now: self.now,
+            vacated: self.vacated,
+            dirty_since: self.dirty_since,
+            mint_ticket: self.mint_ticket,
+            leaves_leased: self.leaves_leased,
+        }
+    }
+
     /// Encodes the snapshot payload (frame body).
     pub fn encode_payload(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.put_u64(self.last_seq);
-        e.put_bytes32(&self.config_digest);
-        e.put_u64(self.now);
-        for v in &self.vacated {
-            e.put_u64(*v);
-        }
-        match self.dirty_since {
-            Some(t) => {
-                e.put_option_tag(true);
-                e.put_u64(t);
-            }
-            None => e.put_option_tag(false),
-        }
-        e.put_u64(self.mint_ticket);
-        e.put_u64(self.leaves_leased);
-        self.report.encode(&mut e);
-        self.book.encode(&mut e);
-        e.put_len(self.material.len());
-        for m in &self.material {
-            e.put_u64(m.offer);
-            e.put_bytes32(&m.address);
-            e.put_bytes32(&m.secret);
-        }
-        e.put_len(self.identities.len());
-        for id in &self.identities {
-            e.put_bytes32(&id.seed);
-            e.put_u8(id.height);
-            e.put_u64(id.next_leaf);
-            e.put_len(id.leaves.len());
-            for leaf in &id.leaves {
-                e.put_bytes32(leaf);
-            }
-        }
+        self.encode(&mut e);
         e.into_bytes()
+    }
+
+    /// Appends the payload to `e`, section by section: head, report,
+    /// book, material, identities.
+    pub fn encode(&self, e: &mut Encoder) {
+        self.head().encode(e);
+        self.report.encode(e);
+        self.book.encode(e);
+        e.put_seq(self.material.iter(), |e, m| m.encode(e));
+        e.put_seq(self.identities.iter(), |e, id| id.encode(e));
     }
 
     /// Decodes a snapshot payload; inverse of
@@ -545,41 +701,29 @@ impl ExchangeSnapshot {
     /// Any [`DecodeError`] for a malformed payload.
     pub fn decode_payload(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut d = Decoder::new(payload);
-        let last_seq = d.u64()?;
-        let config_digest = d.bytes32()?;
-        let now = d.u64()?;
-        let mut vacated = [0u64; 4];
-        for v in &mut vacated {
-            *v = d.u64()?;
-        }
-        let dirty_since = if d.option_tag()? { Some(d.u64()?) } else { None };
-        let mint_ticket = d.u64()?;
-        let leaves_leased = d.u64()?;
+        let head = SnapshotHead::decode(&mut d)?;
         let report = ReportRecord::decode(&mut d)?;
         let book = BookRecord::decode(&mut d)?;
         let n = d.len_prefix()?;
         let mut material = Vec::with_capacity(n);
         for _ in 0..n {
-            material.push(MaterialRecord {
-                offer: d.u64()?,
-                address: d.bytes32()?,
-                secret: d.bytes32()?,
-            });
+            material.push(MaterialRecord::decode(&mut d)?);
         }
         let n = d.len_prefix()?;
         let mut identities = Vec::with_capacity(n);
         for _ in 0..n {
-            let seed = d.bytes32()?;
-            let height = d.u8()?;
-            let next_leaf = d.u64()?;
-            let m = d.len_prefix()?;
-            let mut leaves = Vec::with_capacity(m);
-            for _ in 0..m {
-                leaves.push(d.bytes32()?);
-            }
-            identities.push(IdentityRecord { seed, height, next_leaf, leaves });
+            identities.push(IdentityRecord::decode(&mut d)?);
         }
         d.finish()?;
+        let SnapshotHead {
+            last_seq,
+            config_digest,
+            now,
+            vacated,
+            dirty_since,
+            mint_ticket,
+            leaves_leased,
+        } = head;
         Ok(Self {
             last_seq,
             config_digest,
@@ -596,43 +740,91 @@ impl ExchangeSnapshot {
     }
 }
 
+/// A complete snapshot file image — one [`SNAPSHOT_KIND`] frame — ready
+/// to be written.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotFrame {
+    last_seq: u64,
+    bytes: Vec<u8>,
+}
+
+impl SnapshotFrame {
+    /// Frames a snapshot covering the log through `last_seq`, with
+    /// `payload` encoding the body straight into the frame buffer (see
+    /// [`crate::record::put_frame`]).
+    ///
+    /// # Errors
+    ///
+    /// A payload of 4 GiB or more (see [`crate::record::frame_len`]).
+    pub fn encode(last_seq: u64, payload: impl FnOnce(&mut Encoder)) -> io::Result<Self> {
+        let mut e = Encoder::new();
+        put_frame(&mut e, SNAPSHOT_KIND, last_seq, payload)?;
+        Ok(Self { last_seq, bytes: e.into_bytes() })
+    }
+
+    /// The sequence number of the last WAL record the snapshot covers.
+    pub fn last_seq(&self) -> u64 {
+        self.last_seq
+    }
+
+    /// The file image: header, payload, CRC.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Writes the snapshot to `dir` durably: temp file, `fdatasync`,
+    /// atomic rename, directory fsync; then deletes older snapshot files
+    /// (newest-first recovery never needs them). Returns the snapshot's
+    /// final path.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn write(&self, dir: &Path) -> io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
+        let name = snapshot_name(self.last_seq);
+        let tmp = dir.join(format!("{name}.tmp"));
+        {
+            use std::io::Write as _;
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(&self.bytes)?;
+            f.sync_data()?;
+        }
+        let path = dir.join(&name);
+        std::fs::rename(&tmp, &path)?;
+        // Without this a crash can lose the new name after the caller has
+        // already truncated the WAL the snapshot replaces.
+        sync_dir(dir)?;
+        // Older snapshots are redundant once the rename is durable; delete
+        // them last so a crash anywhere in this function leaves a loadable
+        // store.
+        for entry in std::fs::read_dir(dir)? {
+            let entry = entry?;
+            let entry_name = entry.file_name();
+            let entry_name = entry_name.to_string_lossy();
+            let is_old_snap = entry_name.starts_with("snap-")
+                && (entry_name.ends_with(".snap") || entry_name.ends_with(".tmp"))
+                && *entry_name != *name;
+            if is_old_snap {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+        Ok(path)
+    }
+}
+
 fn snapshot_name(seq: u64) -> String {
     format!("snap-{seq:020}.snap")
 }
 
-/// Writes `snap` to `dir` durably: temp file, sync, atomic rename, then
-/// deletes older snapshot files (newest-first recovery never needs them).
+/// Writes `snap` to `dir` durably (see [`SnapshotFrame::write`]).
 /// Returns the snapshot's final path.
 ///
 /// # Errors
 ///
-/// Propagates filesystem errors.
+/// Propagates filesystem errors and [`SnapshotFrame::encode`]'s.
 pub fn write_snapshot(dir: &Path, snap: &ExchangeSnapshot) -> io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let bytes = encode_frame_raw(SNAPSHOT_KIND, snap.last_seq, &snap.encode_payload());
-    let tmp = dir.join(format!("{}.tmp", snapshot_name(snap.last_seq)));
-    {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    let path = dir.join(snapshot_name(snap.last_seq));
-    std::fs::rename(&tmp, &path)?;
-    // Older snapshots are redundant once the rename lands; delete them
-    // last so a crash anywhere in this function leaves a loadable store.
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let is_old_snap = name.starts_with("snap-")
-            && (name.ends_with(".snap") || name.ends_with(".tmp"))
-            && *name != *path.file_name().unwrap_or_default().to_string_lossy();
-        if is_old_snap {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-    Ok(path)
+    SnapshotFrame::encode(snap.last_seq, |e| snap.encode(e))?.write(dir)
 }
 
 /// Loads the newest snapshot in `dir`, or `None` if there is none.
@@ -666,7 +858,7 @@ pub fn load_latest_snapshot(dir: &Path) -> io::Result<Option<ExchangeSnapshot>> 
     let bytes = std::fs::read(&path)?;
     let (seq, payload) = decode_snapshot_frame(&bytes)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let snap = ExchangeSnapshot::decode_payload(&payload)
+    let snap = ExchangeSnapshot::decode_payload(payload)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     if snap.last_seq != seq {
         return Err(io::Error::new(

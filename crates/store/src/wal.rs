@@ -11,7 +11,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::record::{decode_frames, encode_frame, FrameScan, WalRecord};
+use crate::codec::Encoder;
+use crate::record::{decode_frames, put_frame, FrameScan, WalRecord};
+use crate::sync_dir;
 
 /// File name of the log inside a store directory.
 pub const WAL_FILE: &str = "exchange.wal";
@@ -21,7 +23,7 @@ pub const WAL_FILE: &str = "exchange.wal";
 pub struct Wal {
     file: File,
     path: PathBuf,
-    buf: Vec<u8>,
+    buf: Encoder,
     buffered: usize,
     group_commit: usize,
     next_seq: u64,
@@ -29,7 +31,8 @@ pub struct Wal {
 
 impl Wal {
     /// Creates (truncating any previous log) the WAL in `dir`, starting at
-    /// sequence 0. Flushes to the OS every `group_commit` records
+    /// sequence 0, and fsyncs `dir` so the new file's directory entry is
+    /// durable. Flushes to the OS every `group_commit` records
     /// (`0` behaves as `1`: every record flushes immediately).
     ///
     /// # Errors
@@ -39,7 +42,8 @@ impl Wal {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(WAL_FILE);
         let file = OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
-        Ok(Self { file, path, buf: Vec::new(), buffered: 0, group_commit, next_seq: 0 })
+        sync_dir(dir)?;
+        Ok(Self { file, path, buf: Encoder::new(), buffered: 0, group_commit, next_seq: 0 })
     }
 
     /// Opens an existing WAL for appending after recovery: truncates the
@@ -62,7 +66,7 @@ impl Wal {
         file.set_len(valid_len)?;
         let mut file = file;
         file.seek(SeekFrom::End(0))?;
-        Ok(Self { file, path, buf: Vec::new(), buffered: 0, group_commit, next_seq })
+        Ok(Self { file, path, buf: Encoder::new(), buffered: 0, group_commit, next_seq })
     }
 
     /// Path of the log file.
@@ -82,12 +86,18 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors from the flush.
+    /// Propagates filesystem errors from the flush, and refuses a record
+    /// too large to frame (see [`crate::record::frame_len`]) — leaving
+    /// the buffer and sequence number as they were before the group.
     pub fn append_group(&mut self, records: &[WalRecord]) -> io::Result<()> {
+        let (start, first_seq) = (self.buf.len(), self.next_seq);
         for rec in records {
-            let frame = encode_frame(self.next_seq, rec);
+            if let Err(e) = put_frame(&mut self.buf, rec.kind(), self.next_seq, |e| rec.encode(e)) {
+                self.buf.truncate(start);
+                self.next_seq = first_seq;
+                return Err(e);
+            }
             self.next_seq += 1;
-            self.buf.extend_from_slice(&frame);
         }
         self.buffered += records.len();
         if self.buffered >= self.group_commit.max(1) {
@@ -103,8 +113,8 @@ impl Wal {
     /// Propagates filesystem errors.
     pub fn flush(&mut self) -> io::Result<()> {
         if !self.buf.is_empty() {
-            self.file.write_all(&self.buf)?;
-            self.buf.clear();
+            self.file.write_all(self.buf.as_bytes())?;
+            self.buf.truncate(0);
         }
         self.buffered = 0;
         Ok(())
