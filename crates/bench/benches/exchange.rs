@@ -22,9 +22,8 @@
 //! wall-tick win is printed alongside and measured rigorously by E18.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use swap_core::exchange::{
-    EpochStage, Exchange, ExchangeConfig, ExchangeParty, ProtocolPolicy, StageCosts, StepEvent,
-};
+use swap_bench::drive_rolling;
+use swap_core::exchange::{Exchange, ExchangeConfig, ExchangeParty, ProtocolPolicy, StageCosts};
 use swap_market::AssetKind;
 use swap_sim::SimRng;
 
@@ -147,12 +146,11 @@ fn bench_driving_mode(c: &mut Criterion) {
         settling_base: 5,
         settling_per_swap: 1,
     };
-    let wave = |w: usize| -> Vec<ExchangeParty> {
+    let submit_wave = |exchange: &mut Exchange, w: usize| {
         let mut rng = SimRng::from_seed(0xD0 + w as u64);
-        let mut parties = Vec::with_capacity(WAVE_RINGS * 3);
         for r in 0..WAVE_RINGS {
             for p in 0..3 {
-                parties.push(ExchangeParty::generate(
+                exchange.submit(ExchangeParty::generate(
                     &mut rng,
                     KEY_HEIGHT,
                     AssetKind::new(format!("w{w}r{r}k{p}")),
@@ -160,36 +158,15 @@ fn bench_driving_mode(c: &mut Criterion) {
                 ));
             }
         }
-        parties
     };
     let run = |pipelined: bool| -> u64 {
         let mut exchange =
             Exchange::new(ExchangeConfig { threads: 2, stage_costs: costs, ..Default::default() });
         if pipelined {
-            let mut next = 0usize;
-            for p in wave(next) {
-                exchange.submit(p);
-            }
-            next += 1;
-            loop {
-                match exchange.step().expect("pipeline advances") {
-                    StepEvent::StageEntered { stage: EpochStage::Executing, .. }
-                        if next < WAVES =>
-                    {
-                        for p in wave(next) {
-                            exchange.submit(p);
-                        }
-                        next += 1;
-                    }
-                    StepEvent::Quiescent => break,
-                    _ => {}
-                }
-            }
+            drive_rolling(&mut exchange, WAVES, submit_wave);
         } else {
             for w in 0..WAVES {
-                for p in wave(w) {
-                    exchange.submit(p);
-                }
+                submit_wave(&mut exchange, w);
                 exchange.drive_until_quiescent().expect("epoch settles");
             }
         }

@@ -31,7 +31,7 @@
 
 use std::collections::BTreeSet;
 
-use swap_bench::{bench_setup_config, fmt_row, run_conforming};
+use swap_bench::{bench_setup_config, drive_rolling, fmt_row, run_conforming};
 use swap_contract::SwapSpec;
 use swap_core::hashkey::HashkeyTable;
 use swap_core::runner::{RunConfig, SwapRunner};
@@ -43,6 +43,37 @@ use swap_crypto::{MssKeypair, Secret};
 use swap_digraph::{generators, Digraph, FeedbackVertexSet, VertexId};
 use swap_pebble::{EagerPebbleGame, LazyPebbleGame};
 use swap_sim::{Delta, SimRng, SimTime};
+
+/// Rings per wave of the E18/E19/E21 rolling books.
+const WAVE_RINGS: usize = 3;
+
+/// The trade terms of rolling-book wave `w`: [`WAVE_RINGS`] disjoint
+/// rings with mixed cycle lengths 2..=4 (9 slots per wave).
+fn wave_kinds(w: usize) -> Vec<(swap_market::AssetKind, swap_market::AssetKind)> {
+    use swap_market::AssetKind;
+    let mut out = Vec::new();
+    for r in 0..WAVE_RINGS {
+        let len = 2 + (w + r) % 3;
+        for p in 0..len {
+            out.push((
+                AssetKind::new(format!("w{w}r{r}k{p}")),
+                AssetKind::new(format!("w{w}r{r}k{}", (p + 1) % len)),
+            ));
+        }
+    }
+    out
+}
+
+/// Wave `w`'s parties over [`wave_kinds`], their key material drawn from
+/// the per-wave seed `seed + w`.
+fn wave_parties(seed: u64, w: usize, key_height: u32) -> Vec<swap_core::exchange::ExchangeParty> {
+    use swap_core::exchange::ExchangeParty;
+    let mut rng = SimRng::from_seed(seed + w as u64);
+    wave_kinds(w)
+        .into_iter()
+        .map(|(gives, wants)| ExchangeParty::generate(&mut rng, key_height, gives, wants))
+        .collect()
+}
 
 /// One named experiment: its id and entry point.
 type Experiment = (&'static str, fn() -> bool);
@@ -1113,13 +1144,9 @@ fn e17_protocol_selection() -> bool {
 fn e18_multi_epoch_pipelining() -> bool {
     use std::time::Instant;
     use swap_bench::json;
-    use swap_core::exchange::{
-        EpochStage, Exchange, ExchangeConfig, ExchangeParty, ExchangeReport, StageCosts, StepEvent,
-    };
-    use swap_market::AssetKind;
+    use swap_core::exchange::{Exchange, ExchangeConfig, ExchangeReport, StageCosts};
 
     const WAVES: usize = 5;
-    const WAVE_RINGS: usize = 3;
 
     println!("E18 Multi-epoch pipelining: overlapped vs batch driving, {WAVES}-wave book\n");
     let widths = [8, 11, 8, 8, 10, 26, 10, 4];
@@ -1142,53 +1169,20 @@ fn e18_multi_epoch_pipelining() -> bool {
         settling_base: 5,
         settling_per_swap: 1,
     };
-    // Wave w: disjoint rings with mixed cycle lengths 2..=4, deterministic.
-    let wave = |w: usize| -> Vec<ExchangeParty> {
-        let mut rng = SimRng::from_seed(0xE18 + w as u64);
-        let mut parties = Vec::new();
-        for r in 0..WAVE_RINGS {
-            let len = 2 + (w + r) % 3;
-            for p in 0..len {
-                parties.push(ExchangeParty::generate(
-                    &mut rng,
-                    4,
-                    AssetKind::new(format!("w{w}r{r}k{p}")),
-                    AssetKind::new(format!("w{w}r{r}k{}", (p + 1) % len)),
-                ));
-            }
+    let submit_wave = |exchange: &mut Exchange, w: usize| {
+        for p in wave_parties(0xE18, w, 4) {
+            exchange.submit(p);
         }
-        parties
     };
 
     let drive = |threads: usize, pipelined: bool| -> ExchangeReport {
         let mut exchange =
             Exchange::new(ExchangeConfig { threads, stage_costs: costs, ..Default::default() });
         if pipelined {
-            let mut next = 0usize;
-            for p in wave(next) {
-                exchange.submit(p);
-            }
-            next += 1;
-            loop {
-                match exchange.step().expect("pipeline advances") {
-                    StepEvent::StageEntered { stage: EpochStage::Executing, .. }
-                        if next < WAVES =>
-                    {
-                        for p in wave(next) {
-                            exchange.submit(p);
-                        }
-                        next += 1;
-                    }
-                    StepEvent::Quiescent => break,
-                    _ => {}
-                }
-            }
-            assert_eq!(next, WAVES, "every wave injected");
+            drive_rolling(&mut exchange, WAVES, submit_wave);
         } else {
             for w in 0..WAVES {
-                for p in wave(w) {
-                    exchange.submit(p);
-                }
+                submit_wave(&mut exchange, w);
                 exchange.drive_until_quiescent().expect("honest book settles");
             }
         }
@@ -1320,13 +1314,9 @@ fn e18_multi_epoch_pipelining() -> bool {
 fn e19_rolling_book_worker_pool() -> bool {
     use std::time::Instant;
     use swap_bench::json;
-    use swap_core::exchange::{
-        EpochStage, Exchange, ExchangeConfig, ExchangeParty, ExchangeReport, StageCosts, StepEvent,
-    };
-    use swap_market::AssetKind;
+    use swap_core::exchange::{Exchange, ExchangeConfig, ExchangeReport, StageCosts};
 
     const WAVES: usize = 6;
-    const WAVE_RINGS: usize = 3;
 
     println!("E19 Rolling-book worker pool: execution slots × host threads, {WAVES}-wave book\n");
     let widths = [7, 9, 8, 8, 12, 6, 10, 8, 4];
@@ -1352,24 +1342,6 @@ fn e19_rolling_book_worker_pool() -> bool {
         settling_base: 2,
         settling_per_swap: 0,
     };
-    // Wave w: disjoint rings with mixed cycle lengths 2..=4, deterministic.
-    let wave = |w: usize| -> Vec<ExchangeParty> {
-        let mut rng = SimRng::from_seed(0xE19 + w as u64);
-        let mut parties = Vec::new();
-        for r in 0..WAVE_RINGS {
-            let len = 2 + (w + r) % 3;
-            for p in 0..len {
-                parties.push(ExchangeParty::generate(
-                    &mut rng,
-                    4,
-                    AssetKind::new(format!("w{w}r{r}k{p}")),
-                    AssetKind::new(format!("w{w}r{r}k{}", (p + 1) % len)),
-                ));
-            }
-        }
-        parties
-    };
-
     let drive = |threads: usize, slots: usize| -> ExchangeReport {
         let mut exchange = Exchange::new(ExchangeConfig {
             threads,
@@ -1377,24 +1349,11 @@ fn e19_rolling_book_worker_pool() -> bool {
             stage_costs: costs,
             ..Default::default()
         });
-        let mut next = 0usize;
-        for p in wave(next) {
-            exchange.submit(p);
-        }
-        next += 1;
-        loop {
-            match exchange.step().expect("pipeline advances") {
-                StepEvent::StageEntered { stage: EpochStage::Executing, .. } if next < WAVES => {
-                    for p in wave(next) {
-                        exchange.submit(p);
-                    }
-                    next += 1;
-                }
-                StepEvent::Quiescent => break,
-                _ => {}
+        drive_rolling(&mut exchange, WAVES, |exchange, w| {
+            for p in wave_parties(0xE19, w, 4) {
+                exchange.submit(p);
             }
-        }
-        assert_eq!(next, WAVES, "every wave injected");
+        });
         exchange.into_report()
     };
 
@@ -1845,15 +1804,10 @@ fn preimage_tag(tag: u64) -> [u8; 32] {
 fn e21_identity_registry_throughput() -> bool {
     use std::time::Instant;
     use swap_bench::json;
-    use swap_core::exchange::{
-        EpochStage, Exchange, ExchangeConfig, ExchangeParty, ExchangeReport, PartySeed, StageCosts,
-        StepEvent,
-    };
+    use swap_core::exchange::{Exchange, ExchangeConfig, ExchangeReport, PartySeed, StageCosts};
     use swap_crypto::Address;
-    use swap_market::AssetKind;
 
     const WAVES: usize = 6;
-    const WAVE_RINGS: usize = 3;
     const KEY_HEIGHT: u32 = 6;
     const GATE: f64 = 5.0;
 
@@ -1877,25 +1831,11 @@ fn e21_identity_registry_throughput() -> bool {
         settling_base: 2,
         ..Default::default()
     };
-    // The trade terms of wave w: three disjoint rings, mixed cycle lengths
-    // 2..=4 — always 9 slots per wave, so the registry arm can map wave
-    // slot i onto the same identity every wave.
-    let kinds = |w: usize| -> Vec<(AssetKind, AssetKind)> {
-        let mut out = Vec::new();
-        for r in 0..WAVE_RINGS {
-            let len = 2 + (w + r) % 3;
-            for p in 0..len {
-                out.push((
-                    AssetKind::new(format!("w{w}r{r}k{p}")),
-                    AssetKind::new(format!("w{w}r{r}k{}", (p + 1) % len)),
-                ));
-            }
-        }
-        out
-    };
+    // Every wave has 9 slots, so the registry arm can map wave slot i onto
+    // the same identity every wave.
     let fresh_seeds = |w: usize| -> Vec<PartySeed> {
         let mut rng = SimRng::from_seed(0xE21 + w as u64);
-        kinds(w)
+        wave_kinds(w)
             .into_iter()
             .map(|(gives, wants)| PartySeed {
                 seed: rng.bytes32(),
@@ -1928,47 +1868,27 @@ fn e21_identity_registry_throughput() -> bool {
         });
         let mut secret_rng = SimRng::from_seed(0x5EC2E2);
         let mut registered: Vec<Address> = Vec::new();
-        let inject = |exchange: &mut Exchange,
-                      registered: &mut Vec<Address>,
-                      secret_rng: &mut SimRng,
-                      w: usize| {
-            match arm {
-                Arm::FreshInline => {
-                    let mut rng = SimRng::from_seed(0xE21 + w as u64);
-                    for (gives, wants) in kinds(w) {
-                        exchange
-                            .submit(ExchangeParty::generate(&mut rng, KEY_HEIGHT, gives, wants));
-                    }
-                }
-                Arm::FreshPool => {
-                    exchange.submit_seeded(fresh_seeds(w));
-                }
-                Arm::Registry if w == 0 => {
-                    registered
-                        .extend(exchange.submit_seeded(fresh_seeds(0)).into_iter().map(|(_, a)| a));
-                }
-                Arm::Registry => {
-                    for (i, (gives, wants)) in kinds(w).into_iter().enumerate() {
-                        exchange
-                            .resubmit(registered[i], Secret::random(secret_rng), gives, wants)
-                            .expect("every identity registered in wave 0");
-                    }
+        drive_rolling(&mut exchange, WAVES, |exchange, w| match arm {
+            Arm::FreshInline => {
+                for p in wave_parties(0xE21, w, KEY_HEIGHT) {
+                    exchange.submit(p);
                 }
             }
-        };
-        inject(&mut exchange, &mut registered, &mut secret_rng, 0);
-        let mut next = 1usize;
-        loop {
-            match exchange.step().expect("pipeline advances") {
-                StepEvent::StageEntered { stage: EpochStage::Executing, .. } if next < WAVES => {
-                    inject(&mut exchange, &mut registered, &mut secret_rng, next);
-                    next += 1;
-                }
-                StepEvent::Quiescent => break,
-                _ => {}
+            Arm::FreshPool => {
+                exchange.submit_seeded(fresh_seeds(w));
             }
-        }
-        assert_eq!(next, WAVES, "every wave injected");
+            Arm::Registry if w == 0 => {
+                registered
+                    .extend(exchange.submit_seeded(fresh_seeds(0)).into_iter().map(|(_, a)| a));
+            }
+            Arm::Registry => {
+                for (i, (gives, wants)) in wave_kinds(w).into_iter().enumerate() {
+                    exchange
+                        .resubmit(registered[i], Secret::random(&mut secret_rng), gives, wants)
+                        .expect("every identity registered in wave 0");
+                }
+            }
+        });
         exchange.into_report()
     };
 
@@ -2424,8 +2344,7 @@ fn e23_durable_exchange() -> bool {
     use std::time::Instant;
     use swap_bench::json;
     use swap_core::exchange::{
-        EpochStage, Exchange, ExchangeConfig, ExchangeReport, JournalConfig, PartySeed, StageCosts,
-        StepEvent,
+        Exchange, ExchangeConfig, ExchangeReport, JournalConfig, PartySeed, StageCosts,
     };
     use swap_crypto::Address;
     use swap_market::AssetKind;
@@ -2506,32 +2425,26 @@ fn e23_durable_exchange() -> bool {
             Some(j) => Exchange::with_journal(config(), j).expect("journal store opens"),
             None => Exchange::new(config()),
         };
-        exchange.submit_seeded(dust_seeds(n));
-        let churn: Vec<Address> =
-            exchange.submit_seeded(churn_seeds()).into_iter().map(|(_, a)| a).collect();
         let kinds = churn_kinds();
+        let mut churn: Vec<Address> = Vec::new();
         let mut secret_rng = SimRng::from_seed(0x5EC23);
-        let mut next = 1usize;
-        loop {
-            match exchange.step().expect("pipeline advances") {
-                StepEvent::StageEntered { stage: EpochStage::Executing, .. } if next < WAVES => {
-                    for (i, (gives, wants)) in kinds.iter().enumerate() {
-                        exchange
-                            .resubmit(
-                                churn[i],
-                                Secret::random(&mut secret_rng),
-                                gives.clone(),
-                                wants.clone(),
-                            )
-                            .expect("churn identity registered in wave 0");
-                    }
-                    next += 1;
-                }
-                StepEvent::Quiescent => break,
-                _ => {}
+        drive_rolling(&mut exchange, WAVES, |exchange, w| {
+            if w == 0 {
+                exchange.submit_seeded(dust_seeds(n));
+                churn = exchange.submit_seeded(churn_seeds()).into_iter().map(|(_, a)| a).collect();
+                return;
             }
-        }
-        assert_eq!(next, WAVES, "every wave injected");
+            for (i, (gives, wants)) in kinds.iter().enumerate() {
+                exchange
+                    .resubmit(
+                        churn[i],
+                        Secret::random(&mut secret_rng),
+                        gives.clone(),
+                        wants.clone(),
+                    )
+                    .expect("churn identity registered in wave 0");
+            }
+        });
         exchange
     };
 

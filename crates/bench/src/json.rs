@@ -1,11 +1,9 @@
 //! JSON output for experiments, on `swap-store`'s shared writer.
 //!
-//! The hand-rolled writer this module used to own moved to
-//! [`swap_store::json`] (gaining a decoder on the way), so BENCH emission
-//! and the durability store share one encoding stack. The generic builders
-//! are re-exported here unchanged; what stays local are the report-shaped
-//! encoders for [`RunMetrics`], [`StorageReport`], and [`ExchangeReport`],
-//! plus the `target/BENCH_*.json` writer.
+//! The generic builders of [`swap_store::json`] are re-exported here; what
+//! stays local are the report-shaped encoders for [`RunMetrics`],
+//! [`StorageReport`], and [`ExchangeReport`], plus the
+//! `target/BENCH_*.json` writer.
 
 use std::path::PathBuf;
 
@@ -13,7 +11,7 @@ use swap_chain::StorageReport;
 use swap_core::exchange::ExchangeReport;
 use swap_core::runner::RunMetrics;
 
-pub use swap_store::json::{object, parse, JsonArray, JsonObject, JsonValue};
+pub use swap_store::json::{object, JsonArray, JsonObject};
 
 /// Fills `obj` with a [`RunMetrics`]' counters.
 pub fn run_metrics_fields(obj: &mut JsonObject, m: &RunMetrics) {
@@ -131,16 +129,5 @@ mod tests {
         assert!(json.contains("\"epochs\":0"));
         assert!(json.contains("\"storage\":{"));
         assert!(json.contains("\"swaps\":[]"));
-    }
-
-    #[test]
-    fn report_json_parses_with_the_shared_decoder() {
-        // The writer moved crates; the decoder next to it must read every
-        // document these report encoders emit.
-        let report = ExchangeReport { epochs: 4, swaps_settled: 2, ..Default::default() };
-        let value = parse(&exchange_report_json(&report)).unwrap();
-        assert_eq!(value.get("epochs").and_then(JsonValue::as_u64), Some(4));
-        assert_eq!(value.get("swaps_settled").and_then(JsonValue::as_u64), Some(2));
-        assert!(value.get("storage").is_some());
     }
 }

@@ -13,6 +13,7 @@
 
 pub mod json;
 
+use swap_core::exchange::{EpochStage, Exchange, StepEvent};
 use swap_core::runner::{RunConfig, RunReport, SwapRunner};
 use swap_core::setup::{SetupConfig, SwapSetup};
 use swap_digraph::Digraph;
@@ -42,6 +43,36 @@ pub fn run_conforming(digraph: Digraph, seed: u64) -> RunReport {
     let setup = SwapSetup::generate(digraph, &bench_setup_config(), &mut SimRng::from_seed(seed))
         .expect("valid swap digraph");
     SwapRunner::new(setup, RunConfig::default()).run()
+}
+
+/// Drives `exchange` through a rolling book of `waves` waves:
+/// `inject(exchange, 0)` submits the first wave up front, and wave `w + 1`
+/// is injected the moment an epoch enters [`EpochStage::Executing`], so
+/// each wave's clearing overlaps the previous wave's execution. Returns
+/// once the pipeline is quiescent.
+///
+/// # Panics
+///
+/// If a step fails, or the pipeline falls quiescent before every wave was
+/// injected.
+pub fn drive_rolling(
+    exchange: &mut Exchange,
+    waves: usize,
+    mut inject: impl FnMut(&mut Exchange, usize),
+) {
+    inject(exchange, 0);
+    let mut next = 1;
+    loop {
+        match exchange.step().expect("pipeline advances") {
+            StepEvent::StageEntered { stage: EpochStage::Executing, .. } if next < waves => {
+                inject(exchange, next);
+                next += 1;
+            }
+            StepEvent::Quiescent => break,
+            _ => {}
+        }
+    }
+    assert_eq!(next, waves, "every wave injected");
 }
 
 /// Formats a table row with right-aligned columns (helper for the

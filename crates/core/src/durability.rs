@@ -12,6 +12,8 @@
 //! ([`book_from_record`]). The exchange's journaling and recovery logic
 //! lives in [`crate::exchange`]; this module is pure data plumbing.
 
+use std::io;
+
 use swap_chain::StorageReport;
 use swap_crypto::{sha256, Digest32, Hashlock, MssPublicKey};
 use swap_market::{AssetKind, BookSnapshot, BookView, Offer, OfferId, OfferStatus, SwapId};
@@ -77,11 +79,13 @@ fn protocol_tag(protocol: ProtocolKind) -> u8 {
     }
 }
 
-fn protocol_from_tag(tag: u8) -> ProtocolKind {
+/// A tag this build does not know is `InvalidData`: the record passed
+/// its checksum, so the store came from a build with more protocols.
+fn protocol_from_tag(tag: u8) -> io::Result<ProtocolKind> {
     match tag {
-        0 => ProtocolKind::Hashkey,
-        1 => ProtocolKind::Htlc,
-        t => unreachable!("protocol tag {t} in a checksum-valid snapshot"),
+        0 => Ok(ProtocolKind::Hashkey),
+        1 => Ok(ProtocolKind::Htlc),
+        t => Err(io::Error::new(io::ErrorKind::InvalidData, format!("unknown protocol tag {t}"))),
     }
 }
 
@@ -187,8 +191,13 @@ pub(crate) fn encode_report(e: &mut Encoder, r: &ExchangeReport) {
 /// Snapshot record → [`ExchangeReport`], the inverse of
 /// [`encode_report`]; recovery restores the report verbatim so the
 /// byte-identical-report invariant holds across a crash.
-pub(crate) fn report_from_record(r: &ReportRecord) -> ExchangeReport {
-    ExchangeReport {
+///
+/// # Errors
+///
+/// `InvalidData` for a swap line whose protocol tag this build does not
+/// know.
+pub(crate) fn report_from_record(r: &ReportRecord) -> io::Result<ExchangeReport> {
+    Ok(ExchangeReport {
         epochs: r.epochs,
         offers_submitted: r.offers_submitted,
         offers_cancelled: r.offers_cancelled,
@@ -215,19 +224,21 @@ pub(crate) fn report_from_record(r: &ReportRecord) -> ExchangeReport {
         swaps: r
             .swaps
             .iter()
-            .map(|s| SwapSummary {
-                swap: SwapId::from_raw(s.swap),
-                epoch: s.epoch,
-                parties: s.parties as usize,
-                leaders: s.leaders as usize,
-                protocol: protocol_from_tag(s.protocol),
-                settled: s.settled,
-                all_deal: s.all_deal,
-                rounds: s.rounds,
-                metrics: metrics_from_record(&s.metrics),
+            .map(|s| {
+                Ok(SwapSummary {
+                    swap: SwapId::from_raw(s.swap),
+                    epoch: s.epoch,
+                    parties: s.parties as usize,
+                    leaders: s.leaders as usize,
+                    protocol: protocol_from_tag(s.protocol)?,
+                    settled: s.settled,
+                    all_deal: s.all_deal,
+                    rounds: s.rounds,
+                    metrics: metrics_from_record(&s.metrics),
+                })
             })
-            .collect(),
-    }
+            .collect::<io::Result<_>>()?,
+    })
 }
 
 fn status_record(status: OfferStatus) -> OfferStatusRecord {
@@ -334,8 +345,9 @@ mod tests {
     #[test]
     fn protocol_tags_round_trip() {
         for kind in [ProtocolKind::Hashkey, ProtocolKind::Htlc] {
-            assert_eq!(protocol_from_tag(protocol_tag(kind)), kind);
+            assert_eq!(protocol_from_tag(protocol_tag(kind)).unwrap(), kind);
         }
+        assert_eq!(protocol_from_tag(2).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

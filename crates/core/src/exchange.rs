@@ -90,9 +90,10 @@
 //! *command* record first (the operation and its inputs — enough to re-run
 //! it), followed by the *audit* records of everything the operation did to
 //! the offer/swap lifecycle (plan commits, settlements, refunds, identity
-//! registrations, leaf leases). All lifecycle mutations funnel through one
-//! internal choke point (`Exchange::apply_transition`), so the audit
-//! trail cannot silently miss a mutation path. Periodic snapshots at
+//! registrations, leaf leases). Every lifecycle mutation is one private
+//! method in a single section of the exchange (the durability choke
+//! point) that emits its own audit record, so the audit trail cannot
+//! silently miss a mutation path. Periodic snapshots at
 //! pipeline-empty points truncate the log; [`Exchange::recover`] loads the
 //! latest snapshot, replays the WAL tail in *lockstep* — each command is
 //! re-run and the records it regenerates are compared one-to-one against
@@ -652,71 +653,6 @@ struct Journal {
     /// Audit records of the operation in progress; committed right after
     /// its command head, as one group.
     pending: Vec<WalRecord>,
-    /// Nesting depth of journaled public operations (`submit_seeded`
-    /// calls `submit`); only the outermost operation's head is logged, so
-    /// replaying the outer command cannot double-apply the inner one.
-    depth: u32,
-}
-
-/// One offer/swap lifecycle mutation. Every mutation of the book, the
-/// material map, the identity registry's lifecycle counters, or the
-/// report's lifecycle tallies goes through
-/// `Exchange::apply_transition` — the single durability choke point
-/// where audit records are emitted.
-#[derive(Debug)]
-enum Transition {
-    /// A party submits an offer (registering its identity on first touch).
-    Submit(ExchangeParty),
-    /// A registered identity submits a fresh offer (no keygen).
-    Resubmit {
-        /// The registered identity.
-        address: Address,
-        /// Fresh swap secret.
-        secret: Secret,
-        /// Asset kind given.
-        gives: AssetKind,
-        /// Asset kind wanted.
-        wants: AssetKind,
-    },
-    /// An open offer is withdrawn.
-    Cancel(OfferId),
-    /// An executed swap's offers settle (every party ended in `Deal`).
-    Settle(SwapId),
-    /// A swap's offers refund (failed execution, worker panic, or — with
-    /// `exhausted` — a key-exhausted identity at provisioning).
-    Refund {
-        /// The refunded swap.
-        swap: SwapId,
-        /// True when the refund is due to one-time-key exhaustion.
-        exhausted: bool,
-    },
-    /// Verify-failure teardown: the swap's offers refund and its material
-    /// drops, but *without* released-reservation tracking — nothing was
-    /// provisioned, so no deferred counterparty is owed a wake-up.
-    TearDown(SwapId),
-}
-
-/// What a [`Transition`] did.
-#[derive(Debug)]
-enum Applied {
-    /// The offer now in the book.
-    Submitted(OfferId),
-    /// The offer was withdrawn.
-    Cancelled,
-    /// The swap resolved (settled or refunded); these parties' clearing
-    /// reservations were released.
-    Resolved(BTreeSet<Address>),
-    /// The swap was torn down.
-    TornDown,
-}
-
-/// Why a [`Transition`] could not apply.
-#[derive(Debug)]
-enum TransitionError {
-    /// `Resubmit` for an address with no registered identity.
-    UnknownAddress,
-    /// `Cancel` of an unknown or non-open offer.
-    Cancel(CancelError),
 }
 
 /// One swap the pipeline executed, with its full per-run report.
@@ -821,7 +757,8 @@ pub struct ExchangeReport {
     pub swaps: Vec<SwapSummary>,
 }
 
-/// Tag of one job queued on the shared worker pool.
+/// Tag of one job queued on the shared worker pool. A finished job's
+/// [`JobOutput`] routes itself; the tag is read only when the job panicked.
 #[derive(Debug, Clone, Copy)]
 enum JobTag {
     /// A provisioned swap's engine run, tagged `(epoch, swap)`.
@@ -834,48 +771,64 @@ enum JobTag {
 /// Result of one pool job.
 #[derive(Debug)]
 enum JobOutput {
-    /// A finished swap run.
+    /// A finished swap run (it names its own epoch and swap).
     Swap(Box<SwapRunOutput>),
-    /// A minted identity keypair.
-    Mint(MssKeypair),
-}
-
-/// Stage-to-stage payload of one in-flight epoch.
-#[derive(Debug)]
-enum EpochWork {
-    /// Clearing output, awaiting verification + provisioning.
-    Cleared(Vec<ClearedSwap>),
-    /// Provisioned swaps, awaiting an execution slot.
-    Provisioned(Vec<ProvisionedSwap>),
-    /// The epoch's swaps are queued on the worker pool. While any result
-    /// is outstanding, the epoch's `completes_at` is only a *lower bound*
-    /// (Δ — the shortest possible run); [`Exchange::resolve_execution`]
-    /// collects the results and installs the true wall.
-    Queued {
-        /// When the epoch entered `Executing` (and its jobs were queued).
-        entered: SimTime,
-        /// Results not yet received from the pool.
-        pending: usize,
-        /// Results received so far (arrival order; sorted at resolution).
-        outcomes: Vec<SwapRunOutput>,
-        /// Swaps whose job panicked on its worker.
-        panicked: Vec<SwapId>,
-    },
-    /// Execution results resolved and merged, awaiting settlement.
-    Executed(Vec<SwapRunOutput>),
-    /// Placeholder while a transition consumes the payload.
-    Taken,
+    /// A minted identity keypair and its mint ticket.
+    Mint(u64, MssKeypair),
 }
 
 /// One epoch somewhere in the pipeline.
 #[derive(Debug)]
 struct InFlightEpoch {
     epoch: u64,
-    stage: EpochStage,
-    /// When the current stage's simulated work completes. For an epoch in
-    /// [`EpochWork::Queued`] state this is a lower bound until resolution.
+    /// When the current stage's simulated work completes. While the
+    /// epoch's execution is queued this is only a lower bound.
     completes_at: SimTime,
-    work: EpochWork,
+    state: EpochState,
+}
+
+/// An in-flight epoch's stage, holding that stage's payload.
+#[derive(Debug)]
+enum EpochState {
+    /// Clearing output, awaiting verification + provisioning.
+    Clearing(Vec<ClearedSwap>),
+    /// Provisioned swaps, awaiting an execution slot.
+    Provisioning(Vec<ProvisionedSwap>),
+    /// The epoch's swaps were queued on the worker pool at `entered`.
+    /// While `queued > 0` their results collect in `Exchange::finished`
+    /// and the epoch's `completes_at` is only a *lower bound* (Δ — the
+    /// shortest possible run); [`Exchange::resolve_execution`] moves the
+    /// results into `outcomes` (swap-id order), sets `queued` to zero and
+    /// installs the true wall.
+    Executing {
+        /// When the epoch entered `Executing` (and its jobs were queued).
+        entered: SimTime,
+        /// Swap jobs whose results are not yet resolved.
+        queued: usize,
+        /// The resolved results of the jobs that did not panic.
+        outcomes: Vec<SwapRunOutput>,
+    },
+    /// Execution results, awaiting settlement.
+    Settling(Vec<SwapRunOutput>),
+}
+
+impl InFlightEpoch {
+    fn stage(&self) -> EpochStage {
+        match self.state {
+            EpochState::Clearing(_) => EpochStage::Clearing,
+            EpochState::Provisioning(_) => EpochStage::Provisioning,
+            EpochState::Executing { .. } => EpochStage::Executing,
+            EpochState::Settling(_) => EpochStage::Settling,
+        }
+    }
+
+    /// `(entered, queued)` while the epoch's execution awaits resolution.
+    fn queued_execution(&self) -> Option<(SimTime, usize)> {
+        match self.state {
+            EpochState::Executing { entered, queued, .. } if queued > 0 => Some((entered, queued)),
+            _ => None,
+        }
+    }
 }
 
 /// The orchestrator: offers in, a pipeline of concurrent atomic-swap
@@ -928,6 +881,10 @@ pub struct Exchange {
     /// The long-lived execution tier: every admitted swap of every
     /// executing epoch is queued here, tagged `(epoch, swap)`.
     pool: WorkerPool<JobTag, JobOutput>,
+    /// Swap results received from the pool (`Err` names a swap whose job
+    /// panicked), keyed by epoch, parked until
+    /// [`Exchange::resolve_execution`] collects the epoch's full set.
+    finished: BTreeMap<u64, Vec<Result<SwapRunOutput, SwapId>>>,
     /// Minted identities received from the pool, keyed by mint ticket,
     /// parked until [`Exchange::submit_seeded`] collects them in
     /// submission order.
@@ -966,6 +923,7 @@ impl Exchange {
             vacated: [SimTime::ZERO; 4],
             dirty_since: None,
             pool,
+            finished: BTreeMap::new(),
             minted: BTreeMap::new(),
             mint_ticket: 0,
             ledger: ChainSet::new(),
@@ -984,7 +942,6 @@ impl Exchange {
     /// existing identity (and its consumed-leaf state), so re-submission
     /// can never rewind the one-time-key counter into leaf reuse.
     pub fn submit(&mut self, party: ExchangeParty) -> OfferId {
-        self.journal_begin();
         let head = WalRecord::SubmitOffer {
             seed: *party.keypair.seed(),
             height: party.keypair.height() as u8,
@@ -993,9 +950,7 @@ impl Exchange {
             gives: party.gives.0.clone(),
             wants: party.wants.0.clone(),
         };
-        let Ok(Applied::Submitted(id)) = self.apply_transition(Transition::Submit(party)) else {
-            unreachable!("submission is infallible")
-        };
+        let id = self.submit_offer(party);
         self.journal_commit(head);
         id
     }
@@ -1018,7 +973,6 @@ impl Exchange {
     /// address to [`resubmit`](Self::resubmit) to trade again with zero
     /// keygen.
     pub fn submit_seeded(&mut self, seeds: Vec<PartySeed>) -> Vec<(OfferId, Address)> {
-        self.journal_begin();
         let head = WalRecord::SubmitSeeded {
             seeds: seeds
                 .iter()
@@ -1031,14 +985,14 @@ impl Exchange {
                 })
                 .collect(),
         };
-        let executing = self.in_flight.iter().any(|e| e.stage == EpochStage::Executing);
+        let executing = self.in_flight.iter().any(|e| e.stage() == EpochStage::Executing);
         let mut tickets = Vec::with_capacity(seeds.len());
         for spec in &seeds {
             let ticket = self.mint_ticket;
             self.mint_ticket += 1;
             let (seed, height) = (spec.seed, spec.key_height);
             self.pool.submit(JobTag::Mint(ticket), move || {
-                JobOutput::Mint(MssKeypair::from_seed_with_height(seed, height))
+                JobOutput::Mint(ticket, MssKeypair::from_seed_with_height(seed, height))
             });
             tickets.push(ticket);
         }
@@ -1066,7 +1020,7 @@ impl Exchange {
                     gives: spec.gives,
                     wants: spec.wants,
                 };
-                (self.submit(party), address)
+                (self.submit_offer(party), address)
             })
             .collect();
         self.journal_commit(head);
@@ -1083,26 +1037,20 @@ impl Exchange {
         gives: AssetKind,
         wants: AssetKind,
     ) -> Option<OfferId> {
-        self.journal_begin();
         let head = WalRecord::Resubmit {
             address: *address.digest().as_bytes(),
             secret: *secret.reveal(),
             gives: gives.0.clone(),
             wants: wants.0.clone(),
         };
-        match self.apply_transition(Transition::Resubmit { address, secret, gives, wants }) {
-            Ok(Applied::Submitted(id)) => {
-                self.journal_commit(head);
-                Some(id)
-            }
-            Err(TransitionError::UnknownAddress) => {
-                // Nothing happened; an unknown address leaves no trace in
-                // the log either.
-                self.journal_abort();
-                None
-            }
-            other => unreachable!("resubmission yielded {other:?}"),
+        let id = self.resubmit_offer(address, secret, gives, wants);
+        match id {
+            Some(_) => self.journal_commit(head),
+            // Nothing happened; an unknown address leaves no trace in the
+            // log either.
+            None => self.journal_abort(),
         }
+        id
     }
 
     /// Withdraws an open offer (see [`ClearingService::cancel`]). Accepted
@@ -1114,18 +1062,12 @@ impl Exchange {
     ///
     /// [`CancelError`] if the offer is unknown or no longer open.
     pub fn cancel(&mut self, id: OfferId) -> Result<(), CancelError> {
-        self.journal_begin();
-        match self.apply_transition(Transition::Cancel(id)) {
-            Ok(Applied::Cancelled) => {
-                self.journal_commit(WalRecord::Cancel { offer: id.raw() });
-                Ok(())
-            }
-            Err(TransitionError::Cancel(e)) => {
-                self.journal_abort();
-                Err(e)
-            }
-            other => unreachable!("cancellation yielded {other:?}"),
+        let cancelled = self.cancel_offer(id);
+        match cancelled {
+            Ok(()) => self.journal_commit(WalRecord::Cancel { offer: id.raw() }),
+            Err(_) => self.journal_abort(),
         }
+        cancelled
     }
 
     /// The pipeline frontier: the simulated instant of the latest completed
@@ -1162,12 +1104,12 @@ impl Exchange {
 
     /// The in-flight epochs and the stage each occupies, oldest first.
     pub fn stages(&self) -> Vec<(u64, EpochStage)> {
-        self.in_flight.iter().map(|e| (e.epoch, e.stage)).collect()
+        self.in_flight.iter().map(|e| (e.epoch, e.stage())).collect()
     }
 
     /// The stage `epoch` currently occupies, if it is in flight.
     pub fn stage_of(&self, epoch: u64) -> Option<EpochStage> {
-        self.in_flight.iter().find(|e| e.epoch == epoch).map(|e| e.stage)
+        self.in_flight.iter().find(|e| e.epoch == epoch).map(InFlightEpoch::stage)
     }
 
     /// True when nothing is in flight and no submission awaits clearing.
@@ -1241,7 +1183,6 @@ impl Exchange {
     /// survive and settle normally. The pipeline stays consistent in every
     /// case and further `step` calls keep driving the remaining epochs.
     pub fn step(&mut self) -> Result<StepEvent, ExchangeError> {
-        self.journal_begin();
         let outcome = self.step_inner();
         match &outcome {
             Ok(StepEvent::StageEntered { epoch, stage, at }) => {
@@ -1275,7 +1216,7 @@ impl Exchange {
     /// [`step`](Self::step) minus the journaling envelope.
     fn step_inner(&mut self) -> Result<StepEvent, ExchangeError> {
         // Admission first: the clearing slot feeds the pipeline.
-        let clearing_busy = self.in_flight.iter().any(|e| e.stage == EpochStage::Clearing);
+        let clearing_busy = self.in_flight.iter().any(|e| e.stage() == EpochStage::Clearing);
         if !clearing_busy {
             if let Some(dirty_at) = self.dirty_since {
                 let entered = dirty_at.max(self.vacated[EpochStage::Clearing.index()]);
@@ -1283,8 +1224,8 @@ impl Exchange {
             }
         }
         // Otherwise: the admissible transition earliest in simulated time.
-        // An epoch still waiting on pool results ([`EpochWork::Queued`])
-        // only has a *lower bound* on its transition time; it is resolved
+        // An epoch whose execution is still queued on the pool only has a
+        // *lower bound* on its transition time; it is resolved
         // (blocking on the pool channel) lazily, only once that bound
         // undercuts every transition already known — any transition known
         // to be strictly earlier is processed first, which is what lets
@@ -1293,25 +1234,27 @@ impl Exchange {
         // the simulated trace is deterministic either way.
         loop {
             let mut best: Option<(usize, SimTime)> = None;
-            let mut unresolved: Option<(usize, SimTime)> = None;
+            let mut unresolved: Option<(usize, SimTime, (SimTime, usize))> = None;
             for (i, epoch) in self.in_flight.iter().enumerate() {
                 if !self.may_advance(i) {
                     continue;
                 }
                 let entry = self.entry_time(i);
-                if matches!(epoch.work, EpochWork::Queued { .. }) {
-                    if unresolved.map_or(true, |(_, t)| entry < t) {
-                        unresolved = Some((i, entry));
+                if let Some(execution) = epoch.queued_execution() {
+                    if unresolved.map_or(true, |(_, t, _)| entry < t) {
+                        unresolved = Some((i, entry, execution));
                     }
                 } else if best.map_or(true, |(_, t)| entry < t) {
                     best = Some((i, entry));
                 }
             }
             match (best, unresolved) {
-                (Some((i, entry)), Some((_, bound))) if entry < bound => {
+                (Some((i, entry)), Some((_, bound, _))) if entry < bound => {
                     return self.advance(i, entry);
                 }
-                (_, Some((i, _))) => self.resolve_execution(i)?,
+                (_, Some((i, _, (entered, queued)))) => {
+                    self.resolve_execution(i, entered, queued)?;
+                }
                 (Some((i, entry)), None) => return self.advance(i, entry),
                 (None, None) => return Ok(StepEvent::Quiescent),
             }
@@ -1326,16 +1269,16 @@ impl Exchange {
     /// in admission order even when their executions overlapped).
     fn may_advance(&self, i: usize) -> bool {
         let epoch = &self.in_flight[i];
-        let mut ahead = self.in_flight.iter().take(i);
-        match epoch.stage.next() {
+        let mut ahead = self.in_flight.iter().take(i).map(InFlightEpoch::stage);
+        match epoch.stage().next() {
             Some(EpochStage::Executing) => {
-                let resident = ahead.filter(|a| a.stage == EpochStage::Executing).count();
+                let resident = ahead.filter(|&a| a == EpochStage::Executing).count();
                 resident < self.config.executing_slots.max(1)
             }
             Some(EpochStage::Settling) => {
-                !ahead.any(|a| a.stage == EpochStage::Executing || a.stage == EpochStage::Settling)
+                !ahead.any(|a| a == EpochStage::Executing || a == EpochStage::Settling)
             }
-            Some(next) => !ahead.any(|a| a.stage == next),
+            Some(next) => !ahead.any(|a| a == next),
             None => true,
         }
     }
@@ -1348,7 +1291,7 @@ impl Exchange {
     /// this entry belongs to a transition that has not been processed yet.
     fn entry_time(&self, i: usize) -> SimTime {
         let epoch = &self.in_flight[i];
-        match epoch.stage.next() {
+        match epoch.stage().next() {
             Some(next) => epoch.completes_at.max(self.vacated[next.index()]),
             None => epoch.completes_at,
         }
@@ -1444,9 +1387,8 @@ impl Exchange {
         self.now = self.now.max(entered);
         self.in_flight.push_back(InFlightEpoch {
             epoch,
-            stage: EpochStage::Clearing,
             completes_at: completes,
-            work: EpochWork::Cleared(cleared),
+            state: EpochState::Clearing(cleared),
         });
         Ok(StepEvent::StageEntered { epoch, stage: EpochStage::Clearing, at: entered })
     }
@@ -1454,8 +1396,7 @@ impl Exchange {
     /// Advances the `i`-th in-flight epoch out of its current stage, with
     /// the next stage entered (or the epoch retired) at `entry`.
     fn advance(&mut self, i: usize, entry: SimTime) -> Result<StepEvent, ExchangeError> {
-        let leaving = self.in_flight[i].stage;
-        let published_at = self.in_flight[i].completes_at;
+        let leaving = self.in_flight[i].stage();
         // Attribute the frontier advance to the stage being left, then
         // vacate its slot for the epoch behind.
         let dt = if entry > self.now { (entry - self.now).ticks() } else { 0 };
@@ -1463,17 +1404,19 @@ impl Exchange {
         // state: every epoch resident in the stage was resident for the
         // whole advance (transitions are processed in time order).
         let resident =
-            self.in_flight.iter().filter(|e| e.stage == EpochStage::Executing).count() as u64;
+            self.in_flight.iter().filter(|e| e.stage() == EpochStage::Executing).count() as u64;
         self.report.executing_resident_ticks += dt * resident;
         self.now = self.now.max(entry);
         self.report.wall_ticks += dt;
         self.report.stage_ticks.charge(leaving, dt);
         self.vacated[leaving.index()] = entry;
-        let epoch = self.in_flight[i].epoch;
-        let work = std::mem::replace(&mut self.in_flight[i].work, EpochWork::Taken);
+        // The epoch leaves the pipeline by value; `enter` puts its
+        // successor back at the same position.
+        let InFlightEpoch { epoch, completes_at: published_at, state } =
+            self.in_flight.remove(i).expect("advance is given an in-flight index");
         let costs = self.config.stage_costs;
-        match (leaving, work) {
-            (EpochStage::Clearing, EpochWork::Cleared(cleared)) => {
+        match state {
+            EpochState::Clearing(cleared) => {
                 // The service is untrusted: every party re-checks its slot
                 // at publication, before anything is provisioned, let alone
                 // escrowed (§4.2).
@@ -1483,11 +1426,9 @@ impl Exchange {
                     // the lifecycle resolves instead of wedging in
                     // `Matched`.
                     for swap in &cleared {
-                        self.apply_transition(Transition::TearDown(swap.id))
-                            .expect("teardown is infallible");
+                        self.tear_down_swap(swap.id);
                     }
                     self.report.swaps_cleared += cleared.len() as u64;
-                    self.in_flight.remove(i);
                     return Err(error);
                 }
                 // Provision each cycle by *leasing* one-time leaf windows
@@ -1514,15 +1455,7 @@ impl Exchange {
                         (self.identities.remaining(address).unwrap_or(0) < *n).then_some(*address)
                     });
                     if let Some(address) = short {
-                        let Ok(Applied::Resolved(freed)) =
-                            self.apply_transition(Transition::Refund {
-                                swap: swap.id,
-                                exhausted: true,
-                            })
-                        else {
-                            unreachable!("refunds are infallible")
-                        };
-                        released.extend(freed);
+                        released.extend(self.refund_swap(swap.id, true));
                         self.report.swaps_cleared += 1;
                         exhausted.push((swap.id, address));
                         continue;
@@ -1558,20 +1491,15 @@ impl Exchange {
                     self.dirty_since = Some(self.now);
                 }
                 let cost = costs.provisioning_base + costs.provisioning_per_party * parties;
-                self.enter(
-                    i,
-                    EpochStage::Provisioning,
-                    entry,
-                    cost,
-                    EpochWork::Provisioned(provisioned),
-                );
+                let entered =
+                    self.enter(i, epoch, entry, cost, EpochState::Provisioning(provisioned));
                 exhausted.sort_by_key(|&(swap, _)| swap);
-                if let Some(&(swap, address)) = exhausted.first() {
-                    return Err(ExchangeError::KeysExhausted { swap, address });
+                match exhausted.first() {
+                    Some(&(swap, address)) => Err(ExchangeError::KeysExhausted { swap, address }),
+                    None => Ok(entered),
                 }
-                Ok(StepEvent::StageEntered { epoch, stage: EpochStage::Provisioning, at: entry })
             }
-            (EpochStage::Provisioning, EpochWork::Provisioned(provisioned)) => {
+            EpochState::Provisioning(provisioned) => {
                 // Execution admission: each provisioned swap is stamped
                 // onto the timeline here — chains created, start rebased to
                 // `entry + Δ` — and queued onto the shared worker pool
@@ -1579,77 +1507,82 @@ impl Exchange {
                 // Δ lower bound (the shortest possible run); the true wall
                 // — the slowest swap's — is installed once the results
                 // resolve.
-                let pending = provisioned.len();
+                let queued = provisioned.len();
                 for p in provisioned {
                     let admitted = p.admit_for_queue(entry);
                     let tag = JobTag::Swap(admitted.epoch, admitted.swap);
                     self.pool.submit(tag, move || JobOutput::Swap(Box::new(admitted.execute())));
                 }
-                let resident =
-                    1 + self.in_flight.iter().filter(|e| e.stage == EpochStage::Executing).count()
-                        as u64;
+                let resident = 1 + self
+                    .in_flight
+                    .iter()
+                    .filter(|e| e.stage() == EpochStage::Executing)
+                    .count() as u64;
                 self.report.executing_peak = self.report.executing_peak.max(resident);
-                let work = EpochWork::Queued {
-                    entered: entry,
-                    pending,
-                    outcomes: Vec::new(),
-                    panicked: Vec::new(),
-                };
-                self.enter(i, EpochStage::Executing, entry, self.config.delta.ticks(), work);
-                Ok(StepEvent::StageEntered { epoch, stage: EpochStage::Executing, at: entry })
+                let state = EpochState::Executing { entered: entry, queued, outcomes: Vec::new() };
+                Ok(self.enter(i, epoch, entry, self.config.delta.ticks(), state))
             }
-            (EpochStage::Executing, EpochWork::Executed(results)) => {
-                let cost = costs.settling_base + costs.settling_per_swap * results.len() as u64;
-                self.enter(i, EpochStage::Settling, entry, cost, EpochWork::Executed(results));
-                Ok(StepEvent::StageEntered { epoch, stage: EpochStage::Settling, at: entry })
+            EpochState::Executing { outcomes, .. } => {
+                let cost = costs.settling_base + costs.settling_per_swap * outcomes.len() as u64;
+                Ok(self.enter(i, epoch, entry, cost, EpochState::Settling(outcomes)))
             }
-            (EpochStage::Settling, EpochWork::Executed(results)) => {
+            EpochState::Settling(results) => {
                 let executed = self.retire(results);
-                self.in_flight.remove(i);
                 Ok(StepEvent::EpochSettled { epoch, at: entry, executed })
             }
-            (stage, work) => unreachable!("stage {stage} holds mismatched work {work:?}"),
         }
     }
 
-    /// Moves the `i`-th in-flight epoch into `stage` at `entered`, with the
-    /// given simulated duration and payload.
+    /// Puts `epoch` back into the pipeline at position `i`, in `state`
+    /// entered at `entered` and lasting `ticks` simulated ticks.
     fn enter(
         &mut self,
         i: usize,
-        stage: EpochStage,
+        epoch: u64,
         entered: SimTime,
         ticks: u64,
-        work: EpochWork,
-    ) {
-        let epoch = &mut self.in_flight[i];
-        epoch.stage = stage;
-        epoch.completes_at = entered + SimDuration::from_ticks(ticks);
-        epoch.work = work;
+        state: EpochState,
+    ) -> StepEvent {
+        let completes_at = entered + SimDuration::from_ticks(ticks);
+        let successor = InFlightEpoch { epoch, completes_at, state };
+        let stage = successor.stage();
+        self.in_flight.insert(i, successor);
+        StepEvent::StageEntered { epoch, stage, at: entered }
     }
 
-    /// Resolves the `i`-th epoch's execution: blocks on the pool until
-    /// every outstanding result of the epoch has arrived (results
-    /// belonging to *other* executing epochs are stashed into their
-    /// buffers as they surface — the channel is shared), merges the
-    /// outcomes in swap-id order, and installs the epoch's true execution
-    /// wall — the slowest swap's run, a pure function of the deterministic
-    /// per-swap reports, never of which worker ran what when.
+    /// Resolves the `i`-th epoch's execution, which entered `Executing` at
+    /// `entered` with `queued` swap jobs: blocks on the pool until every
+    /// one of the epoch's results has arrived (results belonging to
+    /// *other* executing epochs, and minted identities, are parked as they
+    /// surface — the channel is shared), merges the outcomes in swap-id
+    /// order, and installs the epoch's true execution wall — the slowest
+    /// swap's run, a pure function of the deterministic per-swap reports,
+    /// never of which worker ran what when.
     ///
     /// Panicked swaps fail here, and only here: each one's offers are
     /// refunded (its parties' clearing reservations released), the
     /// surviving outcomes stay installed so they settle normally on later
     /// steps, and the first panicked swap id is reported as
     /// [`ExchangeError::WorkerPanicked`].
-    fn resolve_execution(&mut self, i: usize) -> Result<(), ExchangeError> {
-        while matches!(&self.in_flight[i].work, EpochWork::Queued { pending, .. } if *pending > 0) {
+    fn resolve_execution(
+        &mut self,
+        i: usize,
+        entered: SimTime,
+        queued: usize,
+    ) -> Result<(), ExchangeError> {
+        let epoch = self.in_flight[i].epoch;
+        while self.finished.get(&epoch).map_or(0, Vec::len) < queued {
             let completed = self.pool.recv();
             self.absorb(completed);
         }
-        let work = std::mem::replace(&mut self.in_flight[i].work, EpochWork::Taken);
-        let EpochWork::Queued { entered, mut outcomes, mut panicked, .. } = work else {
-            unreachable!("resolve_execution on a non-queued epoch")
-        };
+        let mut outcomes = Vec::with_capacity(queued);
+        let mut panicked = Vec::new();
+        for result in self.finished.remove(&epoch).unwrap_or_default() {
+            match result {
+                Ok(outcome) => outcomes.push(outcome),
+                Err(swap) => panicked.push(swap),
+            }
+        }
         // Arrival order is a host-scheduling artifact; everything
         // observable is re-ordered by swap id.
         outcomes.sort_by_key(|o| o.swap);
@@ -1662,8 +1595,9 @@ impl Exchange {
             // and its epoch does not wait on it.)
             wall = wall.max(delta.ticks() * (o.report.metrics.rounds + 1));
         }
-        self.in_flight[i].completes_at = entered + SimDuration::from_ticks(wall);
-        self.in_flight[i].work = EpochWork::Executed(outcomes);
+        let resolved = &mut self.in_flight[i];
+        resolved.completes_at = entered + SimDuration::from_ticks(wall);
+        resolved.state = EpochState::Executing { entered, queued: 0, outcomes };
         if panicked.is_empty() {
             return Ok(());
         }
@@ -1672,12 +1606,7 @@ impl Exchange {
         // their parties' reservations release exactly as settlement would.
         let mut released: BTreeSet<Address> = BTreeSet::new();
         for &id in &panicked {
-            let Ok(Applied::Resolved(freed)) =
-                self.apply_transition(Transition::Refund { swap: id, exhausted: false })
-            else {
-                unreachable!("refunds are infallible")
-            };
-            released.extend(freed);
+            released.extend(self.refund_swap(id, false));
             self.report.swaps_cleared += 1;
         }
         if !released.is_empty() && self.service.any_deferred_from(&released) {
@@ -1686,38 +1615,24 @@ impl Exchange {
         Err(ExchangeError::WorkerPanicked(panicked[0]))
     }
 
-    /// Routes one pool result to its owner: swap results into the owning
-    /// epoch's [`EpochWork::Queued`] buffer, minted identities into the
-    /// mint stash. The result channel is shared, so both
-    /// [`resolve_execution`](Self::resolve_execution) and
-    /// [`submit_seeded`](Self::submit_seeded) drain through here —
+    /// Parks one pool result: a swap result under its epoch in `finished`,
+    /// a minted identity under its ticket in `minted`. The result channel
+    /// is shared, so both [`resolve_execution`](Self::resolve_execution)
+    /// and [`submit_seeded`](Self::submit_seeded) drain through here —
     /// whichever blocks first absorbs whatever surfaces.
     fn absorb(&mut self, completed: Completed<JobTag, JobOutput>) {
-        match completed.tag {
-            JobTag::Mint(ticket) => {
-                let output = completed.result.expect("identity minting does not panic");
-                let JobOutput::Mint(keypair) = output else {
-                    unreachable!("mint ticket {ticket} returned a swap result")
-                };
+        match (completed.result, completed.tag) {
+            (Ok(JobOutput::Mint(ticket, keypair)), _) => {
                 self.minted.insert(ticket, keypair);
             }
-            JobTag::Swap(epoch, swap) => {
-                let slot = self
-                    .in_flight
-                    .iter_mut()
-                    .find(|e| e.epoch == epoch)
-                    .expect("every queued epoch is in flight until resolved");
-                let EpochWork::Queued { pending, outcomes, panicked, .. } = &mut slot.work else {
-                    unreachable!("epoch {epoch} received a result but is not queued")
-                };
-                *pending -= 1;
-                match completed.result {
-                    Ok(JobOutput::Swap(output)) => outcomes.push(*output),
-                    Ok(JobOutput::Mint(_)) => {
-                        unreachable!("swap job for {swap} returned a minted identity")
-                    }
-                    Err(_) => panicked.push(swap),
-                }
+            (Ok(JobOutput::Swap(output)), _) => {
+                self.finished.entry(output.epoch).or_default().push(Ok(*output));
+            }
+            (Err(_), JobTag::Swap(epoch, swap)) => {
+                self.finished.entry(epoch).or_default().push(Err(swap));
+            }
+            (Err(panic), JobTag::Mint(ticket)) => {
+                panic!("identity minting does not panic, but mint {ticket} did: {panic}")
             }
         }
     }
@@ -1732,15 +1647,11 @@ impl Exchange {
         for SwapRunOutput { swap: id, epoch, protocol, report, setup } in results {
             let spec = &setup.spec;
             let all_deal = report.all_deal();
-            let transition = if all_deal {
-                Transition::Settle(id)
+            released.extend(if all_deal {
+                self.settle_swap(id)
             } else {
-                Transition::Refund { swap: id, exhausted: false }
-            };
-            let Ok(Applied::Resolved(freed)) = self.apply_transition(transition) else {
-                unreachable!("settlements and refunds are infallible")
-            };
-            released.extend(freed);
+                self.refund_swap(id, false)
+            });
             self.report.swaps.push(SwapSummary {
                 swap: id,
                 epoch,
@@ -1794,84 +1705,99 @@ impl Exchange {
     }
 
     // ─── The durability choke point ──────────────────────────────────────
+    //
+    // One method per offer/swap lifecycle mutation. **Every** mutation of
+    // the book, the offer-material map, the identity registry's
+    // registration path, and the report's lifecycle tallies goes through
+    // this section, and each method emits its own audit record, so the
+    // WAL cannot silently miss a mutation path.
 
-    /// Applies one offer/swap lifecycle mutation. **Every** mutation of the
-    /// book, the offer-material map, the identity registry's registration
-    /// path, and the report's lifecycle tallies goes through here — the
-    /// single place audit records are emitted, so the WAL cannot silently
-    /// miss a mutation path.
-    fn apply_transition(&mut self, transition: Transition) -> Result<Applied, TransitionError> {
-        match transition {
-            Transition::Submit(party) => {
-                let offer = party.offer();
-                let (address, first) = self.identities.register(party.keypair);
-                if first {
-                    self.report.identities_registered += 1;
-                    self.journal_audit(WalRecord::IdentityRegistered {
-                        address: *address.digest().as_bytes(),
-                    });
-                }
-                let id = self.service.submit(offer);
-                self.material.insert(id, (address, party.secret));
-                self.report.offers_submitted += 1;
-                // The *latest* unseen change: the next clearing scans the
-                // book as of admission, so it cannot start before this
-                // submission exists.
-                self.dirty_since = Some(self.now);
-                Ok(Applied::Submitted(id))
-            }
-            Transition::Resubmit { address, secret, gives, wants } => {
-                let key =
-                    self.identities.public_key(&address).ok_or(TransitionError::UnknownAddress)?;
-                let id =
-                    self.service.submit(Offer { key, hashlock: secret.hashlock(), gives, wants });
-                self.material.insert(id, (address, secret));
-                self.report.offers_submitted += 1;
-                self.dirty_since = Some(self.now);
-                Ok(Applied::Submitted(id))
-            }
-            Transition::Cancel(id) => {
-                self.service.cancel(id).map_err(TransitionError::Cancel)?;
-                self.material.remove(&id);
-                self.report.offers_cancelled += 1;
-                // A withdrawal changes the open book too: the next clearing
-                // gets a look (this is also the recovery path after a
-                // failed admission).
-                self.dirty_since = Some(self.now);
-                Ok(Applied::Cancelled)
-            }
-            Transition::Settle(swap) => {
-                let released = self.release_swap_material(swap);
-                self.service.settle_swap(swap).expect("issued this epoch");
-                self.report.swaps_settled += 1;
-                self.journal_audit(WalRecord::SwapSettled { swap: swap.raw() });
-                Ok(Applied::Resolved(released))
-            }
-            Transition::Refund { swap, exhausted } => {
-                let released = self.release_swap_material(swap);
-                self.service.refund_swap(swap).expect("issued this epoch");
-                self.report.swaps_refunded += 1;
-                if exhausted {
-                    self.report.swaps_exhausted += 1;
-                }
-                self.journal_audit(WalRecord::SwapRefunded { swap: swap.raw(), exhausted });
-                Ok(Applied::Resolved(released))
-            }
-            Transition::TearDown(swap) => {
-                // Unlike a refund, a teardown tracks no released
-                // reservations: nothing was provisioned, so no deferred
-                // counterparty is owed a wake-up.
-                let offers: Vec<OfferId> =
-                    self.service.offers_of_swap(swap).map(<[_]>::to_vec).unwrap_or_default();
-                self.service.refund_swap(swap).expect("issued this epoch");
-                for oid in &offers {
-                    self.material.remove(oid);
-                }
-                self.report.swaps_refunded += 1;
-                self.journal_audit(WalRecord::SwapRefunded { swap: swap.raw(), exhausted: false });
-                Ok(Applied::TornDown)
-            }
+    /// A party submits an offer, registering its identity on first touch.
+    fn submit_offer(&mut self, party: ExchangeParty) -> OfferId {
+        let offer = party.offer();
+        let (address, first) = self.identities.register(party.keypair);
+        if first {
+            self.report.identities_registered += 1;
+            self.journal_audit(WalRecord::IdentityRegistered {
+                address: *address.digest().as_bytes(),
+            });
         }
+        self.book_offer(offer, address, party.secret)
+    }
+
+    /// A registered identity submits a fresh offer (no keygen); `None`,
+    /// with nothing changed, for an address with no registered identity.
+    fn resubmit_offer(
+        &mut self,
+        address: Address,
+        secret: Secret,
+        gives: AssetKind,
+        wants: AssetKind,
+    ) -> Option<OfferId> {
+        let key = self.identities.public_key(&address)?;
+        let offer = Offer { key, hashlock: secret.hashlock(), gives, wants };
+        Some(self.book_offer(offer, address, secret))
+    }
+
+    /// Puts an offer owned by `address` into the book.
+    fn book_offer(&mut self, offer: Offer, address: Address, secret: Secret) -> OfferId {
+        let id = self.service.submit(offer);
+        self.material.insert(id, (address, secret));
+        self.report.offers_submitted += 1;
+        // The *latest* unseen change: the next clearing scans the book as
+        // of admission, so it cannot start before this submission exists.
+        self.dirty_since = Some(self.now);
+        id
+    }
+
+    /// An open offer is withdrawn.
+    fn cancel_offer(&mut self, id: OfferId) -> Result<(), CancelError> {
+        self.service.cancel(id)?;
+        self.material.remove(&id);
+        self.report.offers_cancelled += 1;
+        // A withdrawal changes the open book too: the next clearing gets a
+        // look (this is also the recovery path after a failed admission).
+        self.dirty_since = Some(self.now);
+        Ok(())
+    }
+
+    /// An executed swap's offers settle (every party ended in `Deal`).
+    /// Returns the addresses whose clearing reservations this releases.
+    fn settle_swap(&mut self, swap: SwapId) -> BTreeSet<Address> {
+        let released = self.release_swap_material(swap);
+        self.service.settle_swap(swap).expect("issued this epoch");
+        self.report.swaps_settled += 1;
+        self.journal_audit(WalRecord::SwapSettled { swap: swap.raw() });
+        released
+    }
+
+    /// A swap's offers refund (failed execution, worker panic, or — with
+    /// `exhausted` — a key-exhausted identity at provisioning). Returns the
+    /// addresses whose clearing reservations this releases.
+    fn refund_swap(&mut self, swap: SwapId, exhausted: bool) -> BTreeSet<Address> {
+        let released = self.release_swap_material(swap);
+        self.service.refund_swap(swap).expect("issued this epoch");
+        self.report.swaps_refunded += 1;
+        if exhausted {
+            self.report.swaps_exhausted += 1;
+        }
+        self.journal_audit(WalRecord::SwapRefunded { swap: swap.raw(), exhausted });
+        released
+    }
+
+    /// Verify-failure teardown: the swap's offers refund and its material
+    /// drops. Unlike a refund, a teardown tracks no released reservations:
+    /// nothing was provisioned, so no deferred counterparty is owed a
+    /// wake-up.
+    fn tear_down_swap(&mut self, swap: SwapId) {
+        let offers: Vec<OfferId> =
+            self.service.offers_of_swap(swap).map(<[_]>::to_vec).unwrap_or_default();
+        self.service.refund_swap(swap).expect("issued this epoch");
+        for oid in &offers {
+            self.material.remove(oid);
+        }
+        self.report.swaps_refunded += 1;
+        self.journal_audit(WalRecord::SwapRefunded { swap: swap.raw(), exhausted: false });
     }
 
     /// Drops a resolving swap's key material and collects the addresses
@@ -1930,7 +1856,6 @@ impl Exchange {
             snapshot_every: journal.snapshot_every,
             settled_since_snapshot: 0,
             pending: Vec::new(),
-            depth: 0,
         });
         Ok(exchange)
     }
@@ -1950,36 +1875,19 @@ impl Exchange {
         Ok(())
     }
 
-    /// Opens a journaled public operation (one record group).
-    fn journal_begin(&mut self) {
-        if let Some(journal) = &mut self.journal {
-            journal.depth += 1;
-        }
-    }
-
     /// Closes a journaled operation that mutated nothing: no record.
-    fn journal_abort(&mut self) {
-        if let Some(journal) = &mut self.journal {
-            journal.depth -= 1;
-            debug_assert!(
-                journal.depth > 0 || journal.pending.is_empty(),
-                "aborted operation left audit records pending"
-            );
-        }
+    fn journal_abort(&self) {
+        debug_assert!(
+            self.journal.as_ref().map_or(true, |j| j.pending.is_empty()),
+            "aborted operation left audit records pending"
+        );
     }
 
-    /// Closes a journaled operation, committing its group: the command
-    /// `head` first, then every audit record the operation emitted.
+    /// Closes a journaled public operation, committing its record group:
+    /// the command `head` first, then every audit record the operation
+    /// emitted.
     fn journal_commit(&mut self, head: WalRecord) {
         let Some(journal) = &mut self.journal else { return };
-        journal.depth -= 1;
-        if journal.depth > 0 {
-            // A nested operation (`submit_seeded` calls `submit`): its head
-            // is implied by the outer command — replaying the outer command
-            // re-runs it — so only its audits stay pending, for the outer
-            // group.
-            return;
-        }
         let mut group = Vec::with_capacity(1 + journal.pending.len());
         group.push(head);
         group.append(&mut journal.pending);
@@ -2030,13 +1938,20 @@ impl Exchange {
     ///
     /// [`maybe_snapshot`]: Exchange::step
     pub fn snapshot_now(&mut self) -> io::Result<()> {
-        let Some(frame) = self.encode_snapshot()? else { return Ok(()) };
-        let journal = self.journal.as_mut().expect("encode_snapshot checked the journal");
-        frame.write(&journal.dir)?;
+        // The journal steps out of `self` so the sink is matched once while
+        // the rest of the state is encoded.
+        let Some(mut journal) = self.journal.take() else { return Ok(()) };
+        let written = self.write_snapshot(&mut journal);
+        self.journal = Some(journal);
+        written
+    }
+
+    /// [`snapshot_now`](Self::snapshot_now) with the journal held apart.
+    fn write_snapshot(&self, journal: &mut Journal) -> io::Result<()> {
+        let JournalSink::Wal(wal) = &mut journal.sink else { return Ok(()) };
+        let Some(last_seq) = wal.next_seq().checked_sub(1) else { return Ok(()) };
+        self.snapshot_frame(last_seq)?.write(&journal.dir)?;
         journal.settled_since_snapshot = 0;
-        let JournalSink::Wal(wal) = &mut journal.sink else {
-            unreachable!("encode_snapshot checked the sink")
-        };
         // A crash between the snapshot rename and this truncation is
         // benign: recovery skips WAL records at or before the snapshot's
         // sequence number.
@@ -2056,10 +1971,16 @@ impl Exchange {
     ///
     /// If epochs are in flight (see [`snapshot_now`](Self::snapshot_now)).
     pub fn encode_snapshot(&self) -> io::Result<Option<SnapshotFrame>> {
-        let last_seq = match self.journal.as_ref().map(|j| &j.sink) {
-            Some(JournalSink::Wal(wal)) if wal.next_seq() > 0 => wal.next_seq() - 1,
-            _ => return Ok(None),
-        };
+        match self.journal.as_ref().map(|j| &j.sink) {
+            Some(JournalSink::Wal(wal)) if wal.next_seq() > 0 => {
+                self.snapshot_frame(wal.next_seq() - 1).map(Some)
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// The snapshot frame covering the log through `last_seq`.
+    fn snapshot_frame(&self, last_seq: u64) -> io::Result<SnapshotFrame> {
         assert!(self.in_flight.is_empty(), "snapshots are only taken at pipeline-empty points");
         let head = SnapshotHead {
             last_seq,
@@ -2088,7 +2009,6 @@ impl Exchange {
                 encode_identity(e, kp.seed(), kp.height() as u8, kp.next_leaf(), leaves);
             });
         })
-        .map(Some)
     }
 
     // ─── Recovery ────────────────────────────────────────────────────────
@@ -2126,7 +2046,7 @@ impl Exchange {
         }
         let snapshot_seq = snapshot.as_ref().map(|s| s.last_seq);
         let mut exchange = match snapshot {
-            Some(snap) => Exchange::from_snapshot(config, snap),
+            Some(snap) => Exchange::from_snapshot(config, snap)?,
             None => Exchange::new(config),
         };
         let scan = read_wal(&journal.dir)?;
@@ -2145,7 +2065,6 @@ impl Exchange {
             snapshot_every: journal.snapshot_every,
             settled_since_snapshot: 0,
             pending: Vec::new(),
-            depth: 0,
         });
         let mut stats = RecoveryStats {
             snapshot_seq,
@@ -2265,7 +2184,11 @@ impl Exchange {
     /// Rebuilds the pipeline-empty state a snapshot serialized, consuming
     /// it so the book's strings and the identities' leaves move rather
     /// than copy.
-    fn from_snapshot(config: ExchangeConfig, snap: ExchangeSnapshot) -> Exchange {
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for a value this build cannot interpret.
+    fn from_snapshot(config: ExchangeConfig, snap: ExchangeSnapshot) -> io::Result<Exchange> {
         let service = ClearingService::restore(
             book_from_record(snap.book),
             config.leader_strategy,
@@ -2292,13 +2215,13 @@ impl Exchange {
                 )
             })
             .collect();
-        let report = report_from_record(&snap.report);
+        let report = report_from_record(&snap.report)?;
         // The ledger restarts from fresh chains: settled epochs influence
         // later ones only through the report's storage totals, which the
         // archived baseline carries forward.
         let archived_storage = report.storage;
         let pool = WorkerPool::new(config.threads);
-        Exchange {
+        Ok(Exchange {
             service,
             material,
             identities,
@@ -2312,6 +2235,7 @@ impl Exchange {
             ],
             dirty_since: snap.dirty_since.map(SimTime::from_ticks),
             pool,
+            finished: BTreeMap::new(),
             minted: BTreeMap::new(),
             mint_ticket: snap.mint_ticket,
             ledger: ChainSet::new(),
@@ -2319,7 +2243,7 @@ impl Exchange {
             journal: None,
             report,
             config,
-        }
+        })
     }
 }
 

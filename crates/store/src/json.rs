@@ -1,21 +1,14 @@
-//! A hand-rolled JSON writer and reader.
+//! A hand-rolled JSON writer.
 //!
 //! The workspace builds offline against a no-op `serde` stub (see
 //! `vendor/README.md`), so machine-readable output is emitted by this
-//! small, dependency-free writer instead of derived serialization. The
-//! writer started life in `swap_bench::json` (which still re-exports it,
-//! and keeps its report-shaped encoders); it moved here so BENCH emission
-//! and the durability store share one encoding stack — and gained
-//! [`parse`], the decoder the bench crate never needed.
+//! small, dependency-free writer instead of derived serialization.
+//! `swap_bench::json` re-exports it next to its report-shaped encoders.
 //!
 //! The writer covers exactly what the perf trajectory needs: objects,
-//! arrays, numbers, booleans, and escaped strings. The parser reads any
-//! document the writer emits (and ordinary JSON generally) into a
-//! [`JsonValue`] tree, preserving object key order.
+//! arrays, numbers, booleans, and escaped strings.
 
 use std::fmt::Write as _;
-
-use crate::codec::DecodeError;
 
 /// Builds one JSON object; create with [`object`], add fields in insertion
 /// order, and take the rendered text from the closure's return.
@@ -154,242 +147,6 @@ impl JsonArray {
     }
 }
 
-/// A parsed JSON document. Objects preserve key order (they are written in
-/// insertion order, and drift checks compare key sequences).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number; parsed as `f64` (the writer never emits more than
-    /// 53 bits of integer precision for values drift checks care about).
-    Number(f64),
-    /// A string, with escapes resolved.
-    String(String),
-    /// An array of values.
-    Array(Vec<JsonValue>),
-    /// An object as an ordered list of `(key, value)` pairs.
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Looks up `key` in an object; `None` for missing keys or non-objects.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64`, if it is a non-negative integral number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as an `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document into a [`JsonValue`].
-///
-/// # Errors
-///
-/// Returns [`DecodeError::UnexpectedEnd`] for truncated input,
-/// [`DecodeError::BadTag`] for an unexpected byte (reported as the
-/// offending byte), and [`DecodeError::TrailingBytes`] if anything but
-/// whitespace follows the document.
-pub fn parse(text: &str) -> Result<JsonValue, DecodeError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(DecodeError::TrailingBytes);
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Result<u8, DecodeError> {
-        let b = self.peek().ok_or(DecodeError::UnexpectedEnd)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), DecodeError> {
-        let got = self.bump()?;
-        if got == b {
-            Ok(())
-        } else {
-            Err(DecodeError::BadTag(got))
-        }
-    }
-
-    fn literal(&mut self, text: &[u8], v: JsonValue) -> Result<JsonValue, DecodeError> {
-        if self.bytes.len() - self.pos < text.len() {
-            return Err(DecodeError::UnexpectedEnd);
-        }
-        if &self.bytes[self.pos..self.pos + text.len()] != text {
-            return Err(DecodeError::BadTag(self.bytes[self.pos]));
-        }
-        self.pos += text.len();
-        Ok(v)
-    }
-
-    fn value(&mut self) -> Result<JsonValue, DecodeError> {
-        match self.peek().ok_or(DecodeError::UnexpectedEnd)? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(JsonValue::String(self.string()?)),
-            b't' => self.literal(b"true", JsonValue::Bool(true)),
-            b'f' => self.literal(b"false", JsonValue::Bool(false)),
-            b'n' => self.literal(b"null", JsonValue::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            b => Err(DecodeError::BadTag(b)),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, DecodeError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.bump()? {
-                b',' => continue,
-                b'}' => return Ok(JsonValue::Object(fields)),
-                b => return Err(DecodeError::BadTag(b)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, DecodeError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump()? {
-                b',' => continue,
-                b']' => return Ok(JsonValue::Array(items)),
-                b => return Err(DecodeError::BadTag(b)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, DecodeError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.bump()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump()?;
-                            let digit = (d as char).to_digit(16).ok_or(DecodeError::BadTag(d))?;
-                            code = code * 16 + digit;
-                        }
-                        // Surrogates would need pairing; the writer never
-                        // emits them (it only \u-escapes control bytes).
-                        out.push(char::from_u32(code).ok_or(DecodeError::BadUtf8)?);
-                    }
-                    b => return Err(DecodeError::BadTag(b)),
-                },
-                b if b < 0x80 => out.push(b as char),
-                b => {
-                    // Multi-byte UTF-8: the input is a &str, so the sequence
-                    // is valid; copy its continuation bytes through.
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    for _ in 1..len {
-                        self.bump()?;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| DecodeError::BadUtf8)?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, DecodeError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
-            self.pos += 1;
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| DecodeError::BadUtf8)?;
-        let n: f64 = text.parse().map_err(|_| DecodeError::BadTag(self.bytes[start]))?;
-        Ok(JsonValue::Number(n))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,70 +185,5 @@ mod tests {
             }),
             "{\"xs\":[]}"
         );
-    }
-
-    #[test]
-    fn parser_round_trips_writer_output() {
-        let s = object(|o| {
-            o.field_u64("n", 3)
-                .field_bool("ok", true)
-                .field_f64("rate", 1.5)
-                .field_f64("bad", f64::NAN)
-                .field_str("name", "a\"b\\c\nd\u{1} ☃")
-                .field_object("inner", |i| {
-                    i.field_usize("k", 7);
-                })
-                .field_array("xs", |a| {
-                    a.push_u64(1).push_str("two").push_object(|o| {
-                        o.field_u64("three", 3);
-                    });
-                });
-        });
-        let v = parse(&s).unwrap();
-        assert_eq!(v.get("n").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("ok"), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.get("rate").unwrap().as_f64(), Some(1.5));
-        assert_eq!(v.get("bad"), Some(&JsonValue::Null));
-        assert_eq!(v.get("name").unwrap().as_str(), Some("a\"b\\c\nd\u{1} ☃"));
-        assert_eq!(v.get("inner").unwrap().get("k").unwrap().as_u64(), Some(7));
-        assert_eq!(
-            v.get("xs"),
-            Some(&JsonValue::Array(vec![
-                JsonValue::Number(1.0),
-                JsonValue::String("two".into()),
-                JsonValue::Object(vec![("three".into(), JsonValue::Number(3.0))]),
-            ]))
-        );
-        // Key order is preserved, as drift checks require.
-        match &v {
-            JsonValue::Object(fields) => {
-                let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-                assert_eq!(keys, ["n", "ok", "rate", "bad", "name", "inner", "xs"]);
-            }
-            other => panic!("expected object, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parser_accepts_whitespace_and_negatives() {
-        let v = parse(" { \"a\" : [ -1.5e2 , null , false ] } ").unwrap();
-        assert_eq!(
-            v.get("a"),
-            Some(&JsonValue::Array(vec![
-                JsonValue::Number(-150.0),
-                JsonValue::Null,
-                JsonValue::Bool(false),
-            ]))
-        );
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse("").is_err());
-        assert!(parse("{").is_err());
-        assert!(parse("{}extra").is_err());
-        assert!(parse("{\"a\":}").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("tru").is_err());
     }
 }

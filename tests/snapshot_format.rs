@@ -13,19 +13,29 @@
 //! * `tests/golden/snapshot_v1.snap` — the same scenario's snapshot file
 //!   as written by the earlier encoder, which first copied the state into
 //!   an owned `ExchangeSnapshot` — still loads, recovers to the live
-//!   report, and equals what the live encoder writes today, byte for byte.
+//!   report, and equals what the live encoder writes today, byte for byte;
+//! * `tests/golden/wal_v1.log` — the same scenario's write-ahead log as
+//!   written by an earlier build — equals today's log byte for byte, and
+//!   recovers alone to the live report;
+//! * a checksum-valid snapshot holding a value this build cannot
+//!   interpret is refused by recovery with an error, not a panic.
 
 use std::path::{Path, PathBuf};
 
-use swap_core::exchange::{Exchange, ExchangeConfig, JournalConfig, PartySeed, StepEvent};
+use swap_core::exchange::{
+    Exchange, ExchangeConfig, JournalConfig, PartySeed, RecoverError, StepEvent,
+};
 use swap_crypto::Secret;
 use swap_market::AssetKind;
 use swap_sim::SimRng;
 use swap_store::record::decode_snapshot_frame;
-use swap_store::{ExchangeSnapshot, OfferStatusRecord, SnapshotFrame};
+use swap_store::{ExchangeSnapshot, OfferStatusRecord, SnapshotFrame, WAL_FILE};
 
 /// The earlier encoder's snapshot of [`scenario`].
 const GOLDEN: &[u8] = include_bytes!("golden/snapshot_v1.snap");
+
+/// An earlier build's write-ahead log of [`scenario`].
+const GOLDEN_WAL: &[u8] = include_bytes!("golden/wal_v1.log");
 
 fn config() -> ExchangeConfig {
     ExchangeConfig { threads: 1, ..Default::default() }
@@ -149,4 +159,38 @@ fn a_snapshot_written_by_the_earlier_encoder_still_loads() {
     assert_eq!(recovered.stats.commands_replayed, 0);
     assert_eq!(recovered.exchange.report(), &live_report);
     assert_eq!(live_frame(&recovered.exchange).bytes(), GOLDEN);
+}
+
+#[test]
+fn the_journal_written_today_equals_the_golden_wal() {
+    let dir = store_dir("wal-live");
+    let mut ex = scenario(&dir);
+    ex.sync_journal().expect("journal syncs");
+    let live_report = ex.report().clone();
+    drop(ex);
+    assert_eq!(std::fs::read(dir.join(WAL_FILE)).expect("wal readable"), GOLDEN_WAL);
+
+    // The golden log alone, as a store, replays to the live report.
+    let dir = store_dir("wal-golden-only");
+    std::fs::write(dir.join(WAL_FILE), GOLDEN_WAL).expect("golden copied");
+    let recovered = Exchange::recover(config(), journal(&dir)).expect("golden log recovers");
+    assert_eq!(recovered.stats.snapshot_seq, None);
+    assert!(!recovered.stats.torn_tail);
+    assert!(recovered.stats.commands_replayed > 0);
+    assert_eq!(recovered.exchange.report(), &live_report);
+}
+
+#[test]
+fn recovery_refuses_an_unknown_protocol_tag_without_panicking() {
+    let (seq, payload) = decode_snapshot_frame(GOLDEN).expect("golden frame checks out");
+    let mut snap = ExchangeSnapshot::decode_payload(payload).expect("payload decodes");
+    snap.report.swaps[0].protocol = 7;
+    // Re-framed, so the checksum is valid and only the value is foreign.
+    let frame = SnapshotFrame::encode(seq, |e| snap.encode(e)).expect("re-encodes");
+    let dir = store_dir("bad-protocol-tag");
+    std::fs::write(dir.join(format!("snap-{seq:020}.snap")), frame.bytes()).expect("written");
+    match Exchange::recover(config(), journal(&dir)) {
+        Err(RecoverError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+        other => panic!("expected an InvalidData error, got {:?}", other.map(|r| r.stats)),
+    }
 }
